@@ -35,7 +35,7 @@ def lattice_timings() -> dict[str, float]:
     }
 
 
-def per_layer(tracer, run, lattice_ns: dict[str, float]) -> dict:
+def per_layer(tracer, run, lattice_ns: dict[str, float], verdicts_per_s: float) -> dict:
     n = run.attempted
     calls, total, counters, self_time = tracer.calls, tracer.total, tracer.counters, tracer.self_time
 
@@ -53,7 +53,6 @@ def per_layer(tracer, run, lattice_ns: dict[str, float]) -> dict:
         1 for span in tracer.spans if span[3] == "engine.reduct" and names.get(span[1]) == "engine.stable_search"
     )
     starts = counters["engine.starts"]
-    medians = [statistics.median(times) for times in run.verdict_s.values()] or [0.0]
     values = {
         "cli.main.ms": (ms("cli.main"), "ms/task"),
         "cli.self_ms": (1000.0 * per_task(self_time["cli"]), "ms/task"),
@@ -98,7 +97,7 @@ def per_layer(tracer, run, lattice_ns: dict[str, float]) -> dict:
         "oracle.cluster_members": (per_task(counters["oracle.cluster_members"]), "count/task"),
         "oracle.self_ms": (1000.0 * per_task(self_time["oracle"]), "ms/task"),
         "trace.task_ms": (1000.0 * per_task(run.busy), "ms/task"),
-        "trace.verdicts_per_s": (len(run.verdict_s) / (sum(medians) or 1.0), "1/s"),
+        "trace.verdicts_per_s": (verdicts_per_s, "1/ref_s"),
         "trace.spans": (per_task(len(tracer.spans)), "count/task"),
     }
     return {name: {"value": value, "unit": unit} for name, (value, unit) in values.items()}

@@ -1,17 +1,22 @@
 """Time-to-verdict benchmark for manlp.
 
-    python3 perfbench/run.py --workload search-small --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload search-small --seed 1 --seconds 30 --trace 0
 
 Runs one workload closed-loop from a single client (this process, one
 thread): each task starts when the previous verdict is in.  The timed phase
-runs whole passes over the workload's task list until the busy time reaches
-``--seconds``, so every metric covers the same mix of tasks.  Throughput and
-latency use each task's median time over the passes, which keeps a burst of
-load from elsewhere on the machine out of the figures.  Every output goes
-through the correctness gate in ``workloads.py``.  The last line of stdout is
-one JSON object: ``correct``, ``attempted``, ``failed`` and the end-to-end
-metrics (``--trace 0``) or the per-layer metrics (``--trace 1``).  Lines
-before it name each metric with its unit for a human reader.
+runs whole passes over the workload's task list until the busy time is
+nearest ``--seconds``, so every metric covers the same mix of tasks.  Task
+times are calibrated against the workload's reference kernel
+(``reference.py``), timed between every two tasks: a task's wall time is
+scaled by the kernel's nominal time over the mean of the four kernel runs
+nearest it, so it reads in ``ref_ms`` and a phase of load from elsewhere on
+the shared host cancels out.  Throughput and latency use each task's median
+calibrated time over the passes, which keeps a burst of load out of the
+figures as well.  Every output goes through the correctness gate in ``workloads.py``.  The
+last line of stdout is one JSON object: ``correct``, ``attempted``,
+``failed`` and the end-to-end metrics (``--trace 0``) or the per-layer
+metrics (``--trace 1``).  Lines before it name each metric with its unit
+for a human reader.
 
 Set-up generates and writes the inputs, checks them against the sha256 pins
 in ``pins.json``, and finishes one warm-up task.  It runs before the timed
@@ -103,7 +108,10 @@ class Run:
     """Counts and timings of one timed phase."""
 
     def __init__(self) -> None:
-        self.verdict_s: dict[str, list[float]] = {}  # task key -> times of its runs that passed the gate
+        # task key -> calibrated seconds of its runs that passed the gate
+        self.verdict_s: dict[str, list[float]] = {}
+        self.wall_s: list[float] = []  # the same runs' uncalibrated wall seconds
+        self.reference_s: list[float] = []  # wall seconds of every reference kernel run
         self.busy = 0.0
         self.attempted = 0
         self.decided = 0
@@ -115,8 +123,19 @@ class Run:
 
 
 def measure(workload, tasks, seconds: float, workdir: Path, expected: dict, tracer=None, after_pass=None) -> Run:
+    """Run whole passes over ``tasks`` while another pass ends closer to
+    ``seconds`` of busy time than stopping does, and at least one."""
+    import reference  # after manlp, whose timed import then includes numpy's
+
     run = Run()
+    nominal = reference.nominal_s(workload.reference)
+
     while True:
+        busy_before = run.busy
+        # kernel times of this pass, and (key, wall seconds, kernel runs
+        # before it) of every verdict that passed the gate
+        kernel_s = [reference.time_kernel(workload.reference)]
+        passed = []
         for task in tasks:
             # start each task from a collected heap, as a fresh CLI process
             # would, so no task pays for garbage the previous one or the
@@ -133,6 +152,7 @@ def measure(workload, tasks, seconds: float, workdir: Path, expected: dict, trac
             elapsed = time.perf_counter() - started
             if tracer is not None:
                 tracer.end_task()
+            kernel_s.append(reference.time_kernel(workload.reference))
             run.busy += elapsed
             run.attempted += 1
             if error is not None:
@@ -156,10 +176,17 @@ def measure(workload, tasks, seconds: float, workdir: Path, expected: dict, trac
                 run.failed += 1
                 run.problems.extend(f"{task.key}: {p}" for p in out.problems)
             else:
-                run.verdict_s.setdefault(task.key, []).append(elapsed)
+                passed.append((task.key, elapsed, len(kernel_s) - 1))
+        # each task is calibrated by the four kernel runs nearest it, two
+        # before and two after
+        for key, elapsed, i in passed:
+            near = kernel_s[max(0, i - 2) : i + 2]
+            run.verdict_s.setdefault(key, []).append(elapsed * nominal / statistics.fmean(near))
+            run.wall_s.append(elapsed)
+        run.reference_s.extend(kernel_s)
         if after_pass is not None:
             after_pass()
-        if run.busy >= seconds:
+        if run.busy + (run.busy - busy_before) / 2 >= seconds:
             return run
 
 
@@ -169,15 +196,20 @@ def tail_percentile(samples: int) -> int:
 
 
 def task_medians(run: Run) -> list[float]:
-    """Each task's median time over its passes, in seconds."""
+    """Each task's median calibrated time over its passes, in seconds."""
     return [statistics.median(times) for times in run.verdict_s.values()]
+
+
+def verdicts_per_s(run: Run) -> float:
+    """Tasks per calibrated second of one pass."""
+    return len(run.verdict_s) / (sum(task_medians(run)) or 1.0)
 
 
 def end_to_end(run: Run, setup_s: float) -> dict:
     medians = task_medians(run) or [0.0]  # no verdict at all: every task failed the gate
     return {
-        "verdicts_per_s": {"value": len(run.verdict_s) / (sum(medians) or 1.0), "unit": "1/s"},
-        "verdict_ms_p50": {"value": 1000.0 * statistics.median(medians), "unit": "ms"},
+        "verdicts_per_s": {"value": verdicts_per_s(run), "unit": "1/ref_s"},
+        "verdict_ms_p50": {"value": 1000.0 * statistics.median(medians), "unit": "ref_ms"},
         "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "unit": "MB"},
         "decided_ratio": {"value": run.decided / run.attempted, "unit": "ratio"},
         "setup_s": {"value": setup_s, "unit": "s"},
@@ -189,12 +221,18 @@ def report_lines(run: Run, metrics: dict) -> list[str]:
     samples = [t for times in run.verdict_s.values() for t in times]
     n = len(samples)
     lines.append(f"verdict samples = {n} ({len(run.verdict_s)} tasks, {n / max(1, len(run.verdict_s)):g} runs each)")
-    lines.append(f"raw throughput = {n / run.busy!r} verdicts/s over {run.busy:.3f} s busy")
+    lines.append(f"wall throughput = {n / run.busy!r} verdicts/s over {run.busy:.3f} s busy, uncalibrated")
+    lines.append(f"wall median verdict = {1000.0 * statistics.median(run.wall_s or [0.0])!r} ms over all samples, uncalibrated")
+    kernel_ms = sorted(1000.0 * t for t in run.reference_s)
+    lines.append(
+        f"reference kernel: median {statistics.median(kernel_ms):.2f} ms, quartiles "
+        f"{' '.join(f'{q:.2f}' for q in statistics.quantiles(kernel_ms, n=4)[::2])} ms over {len(kernel_ms)} runs"
+    )
     p = tail_percentile(n)
     if p >= 50:
         ms = sorted(1000.0 * s for s in samples)
         value = statistics.quantiles(ms, n=100, method="inclusive")[p - 1]
-        lines.append(f"verdict_ms_p{p} = {value!r} ms ({n} samples)")
+        lines.append(f"verdict_ms_p{p} = {value!r} ref_ms ({n} samples)")
     else:
         lines.append(f"verdict_ms tail: fewer than 20 verdicts ({n}), no percentile above p50 has ten beyond it")
     lines.append(f"failed_ratio = {run.failed / run.attempted!r} ({run.failed} of {run.attempted})")
@@ -256,7 +294,7 @@ def main(argv=None) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
 
     if args.trace:
-        metrics = layers.per_layer(tracer, run, lattice_ns)
+        metrics = layers.per_layer(tracer, run, lattice_ns, verdicts_per_s(run))
         tracer.write(ROOT / ".perfbench" / f"trace-{workload.name}-seed{args.seed}.json")
         lines = [f"{name} = {m['value']!r} {m['unit']}" for name, m in metrics.items()]
     else:

@@ -82,6 +82,7 @@ class SearchSmall:
     """Multi-start stable search (10 starts) on small unit and interval programs."""
 
     name = "search-small"
+    reference = "python"  # the kernel in reference.py that calibrates its times
     SIZES = range(8, 17)  # symbols; three rules per symbol
     CORPUS = 18
     # search budget: rounds per start and Kleene iterations per fixpoint
@@ -127,6 +128,7 @@ class CliLarge:
     """In-process CLI runs on large programs: `cert --solve` and `stable --check`."""
 
     name = "cli-large"
+    reference = "python"
     SIZES = (300, 1000, 3000)  # symbols; three rules per symbol
 
     def inputs(self, seed: int) -> tuple[dict[str, str], dict[str, str]]:
@@ -203,6 +205,7 @@ class OracleGrid:
     """Exhaustive grid search for approximate stable models on tiny programs."""
 
     name = "oracle-grid"
+    reference = "numpy"
     CORPUS = 24
     # (lattice, symbols) -> grid resolution, each 0.6-1.2 million grid
     # points when every symbol occurs; memory grows with the enumeration size
