@@ -32,15 +32,15 @@ from .lattice import TruthValue, Unit
 from .oracle import BudgetExceededError, GridSpec, brute_force_stable
 from .semantics import (
     Interpretation,
-    SymbolMismatchError,
     interpretation_from_dict,
     interpretation_to_dict,
     is_model,
     rule_value,
     satisfies,
+    value_to_json,
 )
 from .syntax import ParseError, Program, load_program, render_program, render_rule
-from .uniqueness import IneligibleProgramError, certify, solve_unique_traced
+from .uniqueness import IneligibleProgramError, UncertifiedProgramError, certify, solve_unique_traced
 
 
 def _fmt(x: float) -> str:
@@ -51,10 +51,6 @@ def _fmt_value(v: TruthValue) -> str:
     if isinstance(v, Unit):
         return _fmt(v.value)
     return f"[{_fmt(v.lo)},{_fmt(v.hi)}]"
-
-
-def _json_value(v: TruthValue):
-    return v.value if isinstance(v, Unit) else [v.lo, v.hi]
 
 
 def _interp_rows(interp: Interpretation) -> str:
@@ -112,20 +108,17 @@ def _cmd_check_model(args) -> int:
     interp = _load_interp(args.interp, program)
     rows = []
     for idx, rule in enumerate(program.rules):
-        rows.append(
-            {
-                "index": idx,
-                "rule": render_rule(rule),
-                "value": _json_value(rule_value(rule, interp)),
-                "satisfied": satisfies(rule, interp),
-            }
-        )
-    verdict = is_model(program, interp)
-    for row in rows:
-        value = row["value"]
-        shown = _fmt(value) if isinstance(value, float) else f"[{_fmt(value[0])},{_fmt(value[1])}]"
+        value = rule_value(rule, interp)
+        row = {
+            "index": idx,
+            "rule": render_rule(rule),
+            "value": value_to_json(value),
+            "satisfied": satisfies(rule, interp),
+        }
+        rows.append(row)
         mark = "yes" if row["satisfied"] else "no"
-        print(f"  r{row['index']}: {row['rule']}  =>  {shown}  satisfied: {mark}")
+        print(f"  r{idx}: {row['rule']}  =>  {_fmt_value(value)}  satisfied: {mark}")
+    verdict = is_model(program, interp)
     print(f"model: {'yes' if verdict else 'no'}")
     _write_json(
         args,
@@ -258,12 +251,17 @@ def _cmd_cert(args) -> int:
             {"index": rc.index, "lambda1": rc.lambda1, "lambda2": rc.lambda2, "passes": rc.passes}
             for rc in report.per_rule
         ],
-        "head_bounds": {hb.symbol: [hb.bound.lo, hb.bound.hi] for hb in report.head_bounds},
+        "head_bounds": {hb.symbol: value_to_json(hb.bound) for hb in report.head_bounds},
         "verdict": report.verdict,
         "global_lipschitz": report.global_lipschitz,
     }
     if args.solve and report.verdict:
-        model, trace = solve_unique_traced(program, _config(args))
+        try:
+            model, trace = solve_unique_traced(program, _config(args))
+        except UncertifiedProgramError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            _write_json(args, doc)
+            return 3
         print(f"unique stable model (after {trace.effective_steps()} effective iterations):")
         print(_interp_rows(model))
         doc["model"] = interpretation_to_dict(model)
@@ -330,11 +328,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SymbolMismatchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: a rule body is nested too deeply to process", file=sys.stderr)
         return 2
     finally:
         elapsed = (time.perf_counter() - started) * 1000.0

@@ -4,9 +4,13 @@ The immediate consequence operator maps an interpretation I to the
 interpretation that assigns each symbol the supremum, over the rules with
 that head, of weight-conjoined body values.  For negation-free programs it
 is monotone and its least fixpoint (reached by Kleene iteration from the
-bottom interpretation) is the least model.  An interpretation is a stable
-model when it equals the least fixpoint of its own reduct, the positive
-program obtained by freezing every negated atom at its current value.
+bottom interpretation) is the least model.  An interpretation I is a stable
+model when it equals the least fixpoint of its own reduct P_I, the positive
+program obtained by freezing every negated atom at its value under I.
+Stability checks and the search compute lfp(P_I) without building P_I: they
+iterate ``tp(P, J, neg=I)``, whose negated atoms read I, with the same float
+operations in the same order as ``tp(reduct(P, I), J)``.  ``reduct`` still
+builds P_I, for ``manlp reduct``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .lattice import LatticeKind, TruthValue, Interval, Unit, get_signature, sup_value
-from .semantics import Interpretation, SymbolMismatchError, evaluate, _check_same_symbols
+from .semantics import Interpretation, SymbolMismatchError, _check_same_symbols, evaluate, interpretation_to_dict
 from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program
 
 
@@ -79,46 +83,44 @@ def sup_norm(i: Interpretation, j: Interpretation) -> float:
     return worst
 
 
-def tp(program: Program, interp: Interpretation) -> Interpretation:
-    """One application of the immediate consequence operator."""
+def tp(
+    program: Program, interp: Interpretation, neg: Optional[Interpretation] = None
+) -> Interpretation:
+    """One application of the immediate consequence operator; with ``neg``
+    given, negated atoms read ``neg``, which applies the reduct by ``neg``."""
     if interp.symbols != set(program.symbols):
         raise SymbolMismatchError(
             f"interpretation symbols {sorted(interp.symbols)} do not match the program's {list(program.symbols)}"
         )
+    if neg is not None:
+        _check_same_symbols(interp, neg)
     sig = get_signature(program.kind)
     out: dict[str, TruthValue] = {}
     for sym in program.symbols:
         contributions = [
-            sig.conjunctor(rule.imp)(rule.weight, evaluate(rule.body, interp))
+            sig.conjunctor(rule.imp)(rule.weight, evaluate(rule.body, interp, neg))
             for rule in program.rules_by_head.get(sym, ())
         ]
         out[sym] = sup_value(contributions, program.kind)
     return Interpretation(program.kind, out)
 
 
-def _freeze_negations(expr: BodyExpr, interp: Interpretation) -> BodyExpr:
-    sig = get_signature(interp.kind)
-    if isinstance(expr, NegProp):
-        return Const(sig.negation(interp[expr.name]))
-    if isinstance(expr, Conn):
-        return Conn(
-            expr.op,
-            _freeze_negations(expr.left, interp),
-            _freeze_negations(expr.right, interp),
-        )
-    if isinstance(expr, Agg):
-        return Agg(expr.name, tuple(_freeze_negations(a, interp) for a in expr.args))
-    return expr
-
-
 def reduct(program: Program, interp: Interpretation) -> Program:
     """Positive program obtained by replacing each negated atom with the
     constant value of its negation under ``interp``.  Heads, labels, weights,
     rule order and the symbol set are preserved."""
-    new_rules = [
-        replace(rule, body=_freeze_negations(rule.body, interp))
-        for rule in program.rules
-    ]
+    negation = get_signature(interp.kind).negation
+
+    def freeze(expr: BodyExpr) -> BodyExpr:
+        if isinstance(expr, NegProp):
+            return Const(negation(interp[expr.name]))
+        if isinstance(expr, Conn):
+            return Conn(expr.op, freeze(expr.left), freeze(expr.right))
+        if isinstance(expr, Agg):
+            return Agg(expr.name, tuple(freeze(a) for a in expr.args))
+        return expr
+
+    new_rules = [replace(rule, body=freeze(rule.body)) for rule in program.rules]
     return Program.of(program.kind, new_rules, extra_symbols=program.symbols)
 
 
@@ -126,15 +128,17 @@ def iterate_tp(
     program: Program,
     cfg: FixpointConfig = DEFAULT_CONFIG,
     start: Optional[Interpretation] = None,
+    neg: Optional[Interpretation] = None,
 ) -> FixpointTrace:
     """Kleene iteration of the consequence operator from ``start`` (bottom by
     default) until the sup-norm step drops to the tolerance or the budget
-    runs out."""
+    runs out.  With ``neg`` given, the iteration from bottom computes the
+    least fixpoint of the reduct by ``neg``."""
     cur = start if start is not None else Interpretation.bottom(program.kind, program.symbols)
     iterates = [cur]
     residual = float("inf")
     for _ in range(cfg.max_iterations):
-        nxt = tp(program, cur)
+        nxt = tp(program, cur, neg)
         residual = sup_norm(nxt, cur)
         iterates.append(nxt)
         cur = nxt
@@ -173,7 +177,7 @@ def check_stable(
     A least-fixpoint run that fails to converge yields ``stable=False`` with
     the diagnostic flag ``lfp_converged=False``.
     """
-    trace = least_fixpoint(reduct(program, interp), cfg)
+    trace = iterate_tp(program, cfg, neg=interp)
     distance = sup_norm(trace.final, interp)
     return StabilityCheck(
         stable=trace.converged and distance <= check_tol,
@@ -220,12 +224,9 @@ def default_starts(
     return starts
 
 
-def _canonical_key(interp: Interpretation):
-    out = []
-    for sym in sorted(interp.symbols):
-        v = interp[sym]
-        out.append((v.value,) if isinstance(v, Unit) else (v.lo, v.hi))
-    return tuple(out)
+def _canonical_key(interp: Interpretation) -> tuple:
+    """Sort key: the JSON values of the interpretation in symbol order."""
+    return tuple(interpretation_to_dict(interp).values())
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,7 @@ def stable_search(
 ) -> StableSearchResult:
     """Multi-start search for stable models.
 
-    Each start is driven by the map I -> lfp(reduct(P, I)) until the step
+    Each start is driven by the map I -> lfp(P_I) until the step
     falls under the tolerance, the iteration revisits an earlier point (a
     cycle), or the round budget runs out.  Converged limits are kept only if
     they pass the stability check.  An empty result means the search failed,
@@ -269,7 +270,7 @@ def stable_search(
         limit: Optional[Interpretation] = None
         residual = float("inf")
         for _ in range(max_rounds):
-            nxt = least_fixpoint(reduct(program, cur), cfg).final
+            nxt = iterate_tp(program, cfg, neg=cur).final
             residual = sup_norm(nxt, cur)
             if residual <= cfg.tolerance:
                 limit = nxt

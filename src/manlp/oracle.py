@@ -18,7 +18,7 @@ import numpy as np
 from .lattice import EiParams, Interval, LatticeKind, TruthValue, Unit
 from .semantics import Interpretation, is_model
 from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program, Prop
-from .engine import DEFAULT_CONFIG, FixpointConfig, sup_norm
+from .engine import DEFAULT_CONFIG, FixpointConfig, _canonical_key, sup_norm
 
 
 class BudgetExceededError(ValueError):
@@ -231,14 +231,6 @@ def brute_force_stable(
     candidates = [_point_interpretation(program, frozen, i) for i in indices]
     residuals = [float(dist[i]) for i in indices]
     return _cluster(candidates, residuals, radius=2.0 * grid.step + 1e-12)
-
-
-def _canonical_key(interp: Interpretation):
-    out = []
-    for sym in sorted(interp.symbols):
-        v = interp[sym]
-        out.append((v.value,) if isinstance(v, Unit) else (v.lo, v.hi))
-    return tuple(out)
 
 
 def _cluster(

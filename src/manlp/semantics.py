@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .lattice import (
     LatticeKind,
@@ -96,15 +96,20 @@ def interp_leq(i: Interpretation, j: Interpretation) -> bool:
     return all(leq(i[s], j[s]) for s in i)
 
 
-def evaluate(body: BodyExpr, interp: Interpretation) -> TruthValue:
-    """Evaluate a body under an interpretation by structural recursion."""
+def evaluate(
+    body: BodyExpr, interp: Interpretation, neg: Optional[Interpretation] = None
+) -> TruthValue:
+    """Evaluate a body under an interpretation by structural recursion.
+    Negated atoms read ``neg`` if given, giving the body's value in the reduct
+    by ``neg``."""
     sig = get_signature(interp.kind)
+    neg = interp if neg is None else neg
 
     def rec(expr: BodyExpr) -> TruthValue:
         if isinstance(expr, Prop):
             return interp[expr.name]
         if isinstance(expr, NegProp):
-            return sig.negation(interp[expr.name])
+            return sig.negation(neg[expr.name])
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, Conn):
@@ -136,12 +141,12 @@ def is_model(program: Program, interp: Interpretation) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def value_to_json(value: TruthValue):
+    return value.value if isinstance(value, Unit) else [value.lo, value.hi]
+
+
 def interpretation_to_dict(interp: Interpretation) -> dict:
-    out = {}
-    for sym in sorted(interp.symbols):
-        val = interp[sym]
-        out[sym] = val.value if isinstance(val, Unit) else [val.lo, val.hi]
-    return out
+    return {sym: value_to_json(interp[sym]) for sym in sorted(interp.symbols)}
 
 
 def interpretation_from_dict(

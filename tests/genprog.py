@@ -20,6 +20,7 @@ from manlp import (
     certify,
     eligible,
 )
+from manlp import engine
 
 SYMBOL_POOL = ["a", "b", "c", "d", "e", "f"]
 
@@ -35,7 +36,7 @@ def random_value(rng: random.Random, kind: LatticeKind):
 
 
 def random_interpretation(rng: random.Random, kind: LatticeKind, symbols) -> Interpretation:
-    return Interpretation(kind, {s: random_value(rng, kind) for s in symbols})
+    return engine.random_interpretation(kind, symbols, rng)
 
 
 def raised_interpretation(rng: random.Random, low: Interpretation) -> Interpretation:

@@ -186,9 +186,12 @@ def _corpus(seed: int, count: int, positive: bool = False):
 
 
 def test_c05_reduct_identity():
+    other_rng = random.Random(506)
     for _, prog, interp in _corpus(505, 1000):
+        other = random_interpretation(other_rng, prog.kind, prog.symbols)
         assert tp(prog, interp) == tp(reduct(prog, interp), interp)
-    _passed(5, "tp(P, I) == tp(reduct(P, I), I) exactly on 1000 pairs")
+        assert tp(prog, other, neg=interp) == tp(reduct(prog, interp), other)
+    _passed(5, "tp(P, I) == tp(reduct(P, I), I) and tp(P, J, neg=I) == tp(reduct(P, I), J) exactly on 1000 pairs")
 
 
 def test_c06_partition_law():

@@ -151,6 +151,11 @@ class TestCert:
         assert main(["cert", str(path)]) == 1
         assert "not certified" in capsys.readouterr().out
 
+    def test_solve_budget_exit_3(self, capsys):
+        assert main(["cert", CERT, "--solve", "--max", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "did not converge" in err
+
 
 class TestErrors:
     def test_parse_error_exit_2(self, tmp_path, capsys):
@@ -165,6 +170,15 @@ class TestErrors:
 
     def test_usage_error_exit_2(self):
         assert main(["no-such-command"]) == 2
+
+    def test_deep_body_exit_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.mnlp"
+        body = " &P ".join(f"a{i}" for i in range(1500))
+        deep.write_text(f"h <-P {body} ; 0.5\n")
+        assert main(["tp", str(deep), "--interp", "unused.json"]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
 
     def test_interp_mismatch_exit_2(self, tmp_path):
         bad = write_json(tmp_path / "short.json", {"p": 0.5})

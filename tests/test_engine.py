@@ -107,12 +107,19 @@ class TestReduct:
             assert reduct(prog, interp) == prog
 
     def test_reduct_identity(self):
-        # consequences of the reduct at I equal consequences of the program at I
-        rng = random.Random(12)
+        # consequences of the reduct at I equal consequences of the program at
+        # I, and at any J they equal the operator with negations reading I
+        rng, other_rng = random.Random(12), random.Random(112)
         for _ in range(100):
             prog = random_program(rng)
             interp = random_interpretation(rng, prog.kind, prog.symbols)
+            other = random_interpretation(other_rng, prog.kind, prog.symbols)
             assert tp(prog, interp) == tp(reduct(prog, interp), interp)
+            assert tp(prog, other, neg=interp) == tp(reduct(prog, interp), other)
+
+    def test_neg_symbol_mismatch(self, unit_two_stable, model_m):
+        with pytest.raises(SymbolMismatchError):
+            tp(unit_two_stable, model_m, neg=unit_interp(p=0.1))
 
 
 class TestLeastFixpoint:
@@ -201,6 +208,28 @@ class TestStability:
     def test_stable_models_are_tp_fixpoints(self, unit_two_stable, model_m, model_m2):
         for m in (model_m, model_m2):
             assert sup_norm(tp(unit_two_stable, m), m) <= 1e-12
+
+    def test_trace_equals_least_fixpoint_of_reduct(self):
+        rng = random.Random(18)
+        cfg = FixpointConfig(max_iterations=200)
+        for _ in range(60):
+            prog = random_program(rng)
+            interp = random_interpretation(rng, prog.kind, prog.symbols)
+            result = check_stable(prog, interp, cfg)
+            assert result.trace == least_fixpoint(reduct(prog, interp), cfg)
+
+    def test_no_program_is_built(self, unit_two_stable, model_m, monkeypatch):
+        build = Program.of.__func__
+        calls = []
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Program, "of", classmethod(counting))
+        assert check_stable(unit_two_stable, model_m).stable
+        assert stable_search(unit_two_stable).found
+        assert calls == []
 
 
 class TestStableSearch:
