@@ -211,10 +211,12 @@ def _cmd_stable(args) -> int:
     doc["seed"] = seed
     doc["models"] = [interpretation_to_dict(i) for i, _ in result.found]
     doc["nonconverged_starts"] = result.nonconverged_starts
+    doc["rejected_limits"] = result.rejected_limits
     _write_json(args, doc)
     print(
         f"search: {len(result.found)} stable model(s); "
-        f"{result.nonconverged_starts} start(s) did not converge"
+        f"{result.nonconverged_starts} start(s) did not converge; "
+        f"{result.rejected_limits} limit(s) failed the stability check"
     )
     for i, (interp, trace) in enumerate(result.found):
         print(f"model {i} (reached in {len(trace.iterates) - 1} rounds):")

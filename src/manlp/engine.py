@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from .lattice import LatticeKind, TruthValue, Interval, Unit, get_signature, sup_value
+from .lattice import LatticeKind, TruthValue, Interval, Unit, adjoint_pair, negate, sup_value
 from .semantics import Interpretation, SymbolMismatchError, _check_same_symbols, evaluate, interpretation_to_dict
 from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program
 
@@ -94,11 +94,10 @@ def tp(
         )
     if neg is not None:
         _check_same_symbols(interp, neg)
-    sig = get_signature(program.kind)
     out: dict[str, TruthValue] = {}
     for sym in program.symbols:
         contributions = [
-            sig.conjunctor(rule.imp)(rule.weight, evaluate(rule.body, interp, neg))
+            adjoint_pair(program.kind, rule.imp)[0](rule.weight, evaluate(rule.body, interp, neg))
             for rule in program.rules_by_head.get(sym, ())
         ]
         out[sym] = sup_value(contributions, program.kind)
@@ -109,11 +108,9 @@ def reduct(program: Program, interp: Interpretation) -> Program:
     """Positive program obtained by replacing each negated atom with the
     constant value of its negation under ``interp``.  Heads, labels, weights,
     rule order and the symbol set are preserved."""
-    negation = get_signature(interp.kind).negation
-
     def freeze(expr: BodyExpr) -> BodyExpr:
         if isinstance(expr, NegProp):
-            return Const(negation(interp[expr.name]))
+            return Const(negate(interp[expr.name]))
         if isinstance(expr, Conn):
             return Conn(expr.op, freeze(expr.left), freeze(expr.right))
         if isinstance(expr, Agg):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Union
+from functools import cache, partial
+from typing import Callable, Iterable, Union
 
 
 class LatticeKind(Enum):
@@ -268,88 +269,47 @@ def agg_mean(*values: TruthValue) -> TruthValue:
 
 
 # ---------------------------------------------------------------------------
-# Lattice signatures: everything a program needs to resolve its labels.
+# Label tables.  A rule tag names one adjoint pair, a body label one
+# connective and an aggregator name one aggregator; negation is ``negate`` in
+# both lattices.
 # ---------------------------------------------------------------------------
 
 BinaryOp = Callable[[TruthValue, TruthValue], TruthValue]
 
 ImpLabel = Union[str, EiParams]
 
+#: (conjunctor, implication) by unit rule tag.
+UNIT_PAIRS: dict[str, tuple[BinaryOp, BinaryOp]] = {
+    "G": (godel_and, godel_imp),
+    "P": (product_and, product_imp),
+    "L": (lukasiewicz_and, lukasiewicz_imp),
+}
 
-@dataclass(frozen=True)
-class AdjointPair:
-    conj: BinaryOp
-    imp: BinaryOp
+#: Body connectives by label, per lattice.
+BODY_OPS: dict[LatticeKind, dict[str, BinaryOp]] = {
+    LatticeKind.UNIT: {"&G": godel_and, "&P": product_and, "&L": lukasiewicz_and},
+    LatticeKind.INTERVAL: {"*": partial(ei_product, STAR)},
+}
 
-
-@dataclass(frozen=True)
-class LatticeSignature:
-    """A named lattice: adjoint pairs by label, negation, body connectives
-    and aggregators."""
-
-    kind: LatticeKind
-    adjoint_pairs: Mapping[str, AdjointPair]
-    body_ops: Mapping[str, BinaryOp]
-    negation: Callable[[TruthValue], TruthValue]
-    aggregators: Mapping[str, Callable[..., TruthValue]]
-
-    def _pair(self, label: ImpLabel) -> AdjointPair:
-        if isinstance(label, EiParams):
-            if self.kind is not LatticeKind.INTERVAL:
-                raise UnknownOperatorError(f"ei implication {label!r} needs the interval lattice")
-            return AdjointPair(
-                conj=lambda x, y: ei_product(label, x, y),
-                imp=lambda z, y: ei_residuum(label, z, y),
-            )
-        try:
-            return self.adjoint_pairs[label]
-        except KeyError:
-            raise UnknownOperatorError(f"no adjoint pair labelled {label!r} in the {self.kind.value} lattice") from None
-
-    def conjunctor(self, label: ImpLabel) -> BinaryOp:
-        return self._pair(label).conj
-
-    def implication(self, label: ImpLabel) -> BinaryOp:
-        return self._pair(label).imp
-
-    def body_op(self, op: str) -> BinaryOp:
-        try:
-            return self.body_ops[op]
-        except KeyError:
-            raise UnknownOperatorError(f"no body connective {op!r} in the {self.kind.value} lattice") from None
-
-    def aggregator(self, name: str) -> Callable[..., TruthValue]:
-        try:
-            return self.aggregators[name]
-        except KeyError:
-            raise UnknownOperatorError(f"unknown aggregator @{name}") from None
+#: Aggregators by name, shared by both lattices.
+AGGREGATORS: dict[str, Callable[..., TruthValue]] = {"min": agg_min, "max": agg_max, "mean": agg_mean}
 
 
-_UNIT_SIGNATURE = LatticeSignature(
-    kind=LatticeKind.UNIT,
-    adjoint_pairs={
-        "G": AdjointPair(godel_and, godel_imp),
-        "P": AdjointPair(product_and, product_imp),
-        "L": AdjointPair(lukasiewicz_and, lukasiewicz_imp),
-    },
-    body_ops={"&G": godel_and, "&P": product_and, "&L": lukasiewicz_and},
-    negation=negate,
-    aggregators={"min": agg_min, "max": agg_max, "mean": agg_mean},
-)
+@cache
+def adjoint_pair(kind: LatticeKind, label: ImpLabel) -> tuple[BinaryOp, BinaryOp]:
+    """The (conjunctor, implication) pair a rule tag names in ``kind``; each
+    distinct ei tag builds its pair once."""
+    if isinstance(label, EiParams):
+        if kind is not LatticeKind.INTERVAL:
+            raise UnknownOperatorError(f"ei implication {label!r} needs the interval lattice")
+        return partial(ei_product, label), partial(ei_residuum, label)
+    if kind is LatticeKind.UNIT and label in UNIT_PAIRS:
+        return UNIT_PAIRS[label]
+    raise UnknownOperatorError(f"no adjoint pair labelled {label!r} in the {kind.value} lattice")
 
 
-def _star(x: TruthValue, y: TruthValue) -> Interval:
-    return ei_product(STAR, x, y)
-
-
-_INTERVAL_SIGNATURE = LatticeSignature(
-    kind=LatticeKind.INTERVAL,
-    adjoint_pairs={},
-    body_ops={"*": _star},
-    negation=negate,
-    aggregators={"min": agg_min, "max": agg_max, "mean": agg_mean},
-)
-
-
-def get_signature(kind: LatticeKind) -> LatticeSignature:
-    return _UNIT_SIGNATURE if kind is LatticeKind.UNIT else _INTERVAL_SIGNATURE
+def body_op(kind: LatticeKind, op: str) -> BinaryOp:
+    try:
+        return BODY_OPS[kind][op]
+    except KeyError:
+        raise UnknownOperatorError(f"no body connective {op!r} in the {kind.value} lattice") from None

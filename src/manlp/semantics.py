@@ -6,13 +6,16 @@ from collections.abc import Mapping
 from typing import Iterable, Iterator, Optional
 
 from .lattice import (
+    AGGREGATORS,
+    BODY_OPS,
     LatticeKind,
     TruthValue,
     Interval,
     Unit,
+    adjoint_pair,
     bottom,
-    get_signature,
     leq,
+    negate,
     top,
 )
 from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program, Prop, Rule
@@ -102,20 +105,20 @@ def evaluate(
     """Evaluate a body under an interpretation by structural recursion.
     Negated atoms read ``neg`` if given, giving the body's value in the reduct
     by ``neg``."""
-    sig = get_signature(interp.kind)
+    ops = BODY_OPS[interp.kind]
     neg = interp if neg is None else neg
 
     def rec(expr: BodyExpr) -> TruthValue:
         if isinstance(expr, Prop):
             return interp[expr.name]
         if isinstance(expr, NegProp):
-            return sig.negation(neg[expr.name])
+            return negate(neg[expr.name])
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, Conn):
-            return sig.body_op(expr.op)(rec(expr.left), rec(expr.right))
+            return ops[expr.op](rec(expr.left), rec(expr.right))
         if isinstance(expr, Agg):
-            return sig.aggregator(expr.name)(*[rec(a) for a in expr.args])
+            return AGGREGATORS[expr.name](*[rec(a) for a in expr.args])
         raise TypeError(f"not a body expression: {expr!r}")
 
     return rec(body)
@@ -123,7 +126,7 @@ def evaluate(
 
 def rule_value(rule: Rule, interp: Interpretation) -> TruthValue:
     """Truth value of the whole rule, head <- body, under an interpretation."""
-    imp = get_signature(interp.kind).implication(rule.imp)
+    _, imp = adjoint_pair(interp.kind, rule.imp)
     return imp(interp[rule.head], evaluate(rule.body, interp))
 
 
@@ -153,6 +156,8 @@ def interpretation_from_dict(
     data: Mapping, kind: LatticeKind, symbols: Iterable[str]
 ) -> Interpretation:
     """Decode a flat symbol map; it must cover exactly the given symbols."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"an interpretation must be a JSON object mapping symbols to values, got {type(data).__name__}")
     symbols = set(symbols)
     missing = symbols - set(data)
     if missing:

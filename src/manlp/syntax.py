@@ -23,13 +23,18 @@ from functools import cached_property
 from typing import Iterable, Union
 
 from .lattice import (
+    AGGREGATORS,
+    BODY_OPS,
+    UNIT_PAIRS,
     EiParams,
     ImpLabel,
     Interval,
     LatticeKind,
     TruthValue,
     Unit,
-    get_signature,
+    UnknownOperatorError,
+    adjoint_pair,
+    body_op,
 )
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -153,8 +158,7 @@ def body_atoms(expr: BodyExpr) -> list[tuple[str, bool]]:
 
 
 def _validate_rule(kind: LatticeKind, rule: Rule) -> None:
-    sig = get_signature(kind)
-    sig.conjunctor(rule.imp)  # raises on a label foreign to this lattice
+    adjoint_pair(kind, rule.imp)  # raises on a label foreign to this lattice
     if rule.weight.kind is not kind:
         raise ValueError(f"rule weight {rule.weight!r} does not belong to the {kind.value} lattice")
     seen: set[str] = set()
@@ -166,9 +170,10 @@ def _validate_rule(kind: LatticeKind, rule: Rule) -> None:
         if isinstance(node, Const) and node.value.kind is not kind:
             raise ValueError(f"constant {node.value!r} does not belong to the {kind.value} lattice")
         elif isinstance(node, Conn):
-            sig.body_op(node.op)
+            body_op(kind, node.op)
         elif isinstance(node, Agg):
-            sig.aggregator(node.name)
+            if node.name not in AGGREGATORS:
+                raise UnknownOperatorError(f"unknown aggregator @{node.name}")
             if not node.args:
                 raise ValueError(f"aggregator @{node.name} needs at least one argument")
 
@@ -213,7 +218,7 @@ def _tokenize_line(text: str, lineno: int) -> list[_Token]:
             i += 2
         elif c == "&":
             tag = text[i + 1 : i + 2]
-            if tag not in ("G", "P", "L"):
+            if tag not in UNIT_PAIRS:
                 raise ParseError(f"unknown connective '&{tag}'", lineno, col)
             tokens.append(_Token("&" + tag, "&" + tag, lineno, col))
             i += 2
@@ -230,16 +235,12 @@ def _tokenize_line(text: str, lineno: int) -> list[_Token]:
 # Recursive-descent parser
 # ---------------------------------------------------------------------------
 
-_UNIT_TAGS = {"G", "P", "L"}
-_UNIT_OPS = {"&G", "&P", "&L"}
-
 
 class _RuleParser:
     def __init__(self, tokens: list[_Token], kind: LatticeKind):
         self.tokens = tokens
         self.pos = 0
         self.kind = kind
-        self.sig = get_signature(kind)
         self.seen_atoms: set[str] = set()
 
     def peek(self) -> _Token:
@@ -281,7 +282,7 @@ class _RuleParser:
 
     def parse_tag(self) -> ImpLabel:
         tok = self.expect("ident", "an implication tag (G, P, L or ei(...))")
-        if tok.text in _UNIT_TAGS:
+        if tok.text in UNIT_PAIRS:
             if self.kind is not LatticeKind.UNIT:
                 raise self.error(f"unit implication '{tok.text}' in an interval program", tok)
             return tok.text
@@ -310,9 +311,9 @@ class _RuleParser:
         expr = self.parse_term()
         while True:
             tok = self.peek()
-            if tok.kind in _UNIT_OPS or tok.kind == "*":
+            if tok.kind in BODY_OPS[LatticeKind.UNIT] or tok.kind == "*":
                 self.advance()
-                if tok.kind in _UNIT_OPS and self.kind is not LatticeKind.UNIT:
+                if tok.kind in BODY_OPS[LatticeKind.UNIT] and self.kind is not LatticeKind.UNIT:
                     raise self.error(f"unit connective '{tok.kind}' in an interval program", tok)
                 if tok.kind == "*" and self.kind is not LatticeKind.INTERVAL:
                     raise self.error("interval connective '*' in a unit program", tok)
@@ -342,7 +343,7 @@ class _RuleParser:
         if tok.kind == "@":
             self.advance()
             name = self.expect("ident", "an aggregator name")
-            if name.text not in self.sig.aggregators:
+            if name.text not in AGGREGATORS:
                 raise self.error(f"unknown aggregator @{name.text}", name)
             self.expect("(", "'(' after the aggregator name")
             args = [self.parse_body()]

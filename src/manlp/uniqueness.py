@@ -28,7 +28,7 @@ from .engine import (
 )
 from .lattice import EiParams, Interval, LatticeKind, sup_value
 from .semantics import Interpretation
-from .syntax import Conn, BodyExpr, NegProp, Program, Prop, Rule
+from .syntax import Conn, BodyExpr, NegProp, Program, Prop, Rule, body_atoms, walk
 
 
 class IneligibleProgramError(ValueError):
@@ -75,23 +75,16 @@ def star_decompose(body: BodyExpr) -> Optional[tuple[tuple[str, ...], tuple[str,
     Returns None when the body contains anything else (constants,
     aggregators, other connectives).
     """
-    pos: list[str] = []
-    neg: list[str] = []
-
-    def rec(expr: BodyExpr) -> bool:
-        if isinstance(expr, Prop):
-            pos.append(expr.name)
-            return True
-        if isinstance(expr, NegProp):
-            neg.append(expr.name)
-            return True
-        if isinstance(expr, Conn) and expr.op == "*":
-            return rec(expr.left) and rec(expr.right)
-        return False
-
-    if not rec(body):
+    if not all(
+        isinstance(node, (Prop, NegProp)) or (isinstance(node, Conn) and node.op == "*")
+        for node in walk(body)
+    ):
         return None
-    return tuple(pos), tuple(neg)
+    atoms = body_atoms(body)
+    return (
+        tuple(name for name, negated in atoms if not negated),
+        tuple(name for name, negated in atoms if negated),
+    )
 
 
 def eligibility_violations(program: Program) -> list[str]:

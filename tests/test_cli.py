@@ -106,6 +106,16 @@ class TestStable:
             assert main(["stable", EX3, "--check", interp]) == 0
             capsys.readouterr()
 
+    def test_search_reports_rejected_limits(self, tmp_path, capsys):
+        # a one-step budget makes every round return T(bottom) of its reduct:
+        # each start settles, and no limit passes the stability check
+        report = tmp_path / "r.json"
+        assert main(["stable", EX1, "--search", "--max", "1", "--json", str(report)]) == 3
+        assert "0 start(s) did not converge; 10 limit(s) failed the stability check" in capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        assert doc["rejected_limits"] == 10
+        assert doc["nonconverged_starts"] == 0
+
     def test_brute_clusters(self, capsys):
         assert main(["stable", EX3, "--brute", "10"]) == 0
         out = capsys.readouterr().out
@@ -183,3 +193,12 @@ class TestErrors:
     def test_interp_mismatch_exit_2(self, tmp_path):
         bad = write_json(tmp_path / "short.json", {"p": 0.5})
         assert main(["check-model", EX1, "--interp", bad]) == 2
+
+    @pytest.mark.parametrize("data", [["p", "q", "r"], 5])
+    @pytest.mark.parametrize("command", [["check-model", EX1, "--interp"], ["stable", EX1, "--check"]])
+    def test_non_object_interp_exit_2(self, tmp_path, capsys, command, data):
+        # exit 1 would read as a verdict ("not a model", "not stable")
+        path = write_json(tmp_path / "I.json", data)
+        assert main(command + [path]) == 2
+        err = capsys.readouterr().err
+        assert "must be a JSON object" in err

@@ -19,7 +19,6 @@ from manlp import (
     brute_force_residuum,
     ei_product,
     ei_residuum,
-    get_signature,
     godel_and,
     godel_imp,
     leq,
@@ -31,6 +30,7 @@ from manlp import (
     sup_value,
     top,
 )
+from manlp.lattice import adjoint_pair, body_op
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False).map(Unit)
 
@@ -266,6 +266,16 @@ class TestAdjointness:
         imp = lambda c, a: ei_residuum(p, c, a)
         check_adjoint(conj, imp, x, y, z)
 
+    def test_resolved_pairs(self):
+        # a unit tag resolves to its table pair; an ei tag builds its pair once
+        assert adjoint_pair(LatticeKind.UNIT, "P") == (product_and, product_imp)
+        p = EiParams(2, 1, 2, 1)
+        pair = adjoint_pair(LatticeKind.INTERVAL, p)
+        assert adjoint_pair(LatticeKind.INTERVAL, EiParams(2, 1, 2, 1)) is pair
+        x, y = Interval(0.3, 0.8), Interval(0.5, 0.9)
+        assert pair[0](x, y) == ei_product(p, x, y)
+        assert pair[1](x, y) == ei_residuum(p, x, y)
+
 
 class TestBoundaryAndMonotonicity:
     @given(units)
@@ -276,7 +286,7 @@ class TestBoundaryAndMonotonicity:
 
     @given(intervals)
     def test_star_top_neutral(self, v):
-        star = get_signature(LatticeKind.INTERVAL).body_op("*")
+        star = body_op(LatticeKind.INTERVAL, "*")
         t = top(LatticeKind.INTERVAL)
         assert star(t, v) == v and star(v, t) == v
 

@@ -10,8 +10,8 @@ from manlp import (
     SymbolMismatchError,
     Unit,
     UnknownSymbolError,
+    adjoint_pair,
     evaluate,
-    get_signature,
     interp_leq,
     interpretation_from_dict,
     interpretation_to_dict,
@@ -89,10 +89,9 @@ class TestSatisfaction:
         for _ in range(50):
             prog = random_program(rng)
             interp = random_interpretation(rng, prog.kind, prog.symbols)
-            sig = get_signature(prog.kind)
             for rule in prog.rules:
                 direct = satisfies(rule, interp)
-                conj = sig.conjunctor(rule.imp)
+                conj, _ = adjoint_pair(prog.kind, rule.imp)
                 alt = leq(conj(rule.weight, evaluate(rule.body, interp)), interp[rule.head])
                 assert direct == alt
 

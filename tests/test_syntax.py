@@ -15,6 +15,7 @@ from manlp import (
     Prop,
     Rule,
     Unit,
+    UnknownOperatorError,
     body_atoms,
     detect_kind,
     parse_program,
@@ -132,8 +133,15 @@ class TestProgramConstruction:
             Program.of(UNIT, [Rule("p", "G", Prop("q"), Interval(0.1, 0.2))])
 
     def test_of_rejects_foreign_label(self):
-        with pytest.raises(Exception):
-            Program.of(INTERVAL, [Rule("p", "G", Prop("q"), Interval(0.1, 0.2))])
+        cases = [
+            (INTERVAL, Rule("p", "G", Prop("q"), Interval(0.1, 0.2))),
+            (UNIT, Rule("p", EiParams(1, 1, 1, 1), Prop("q"), Unit(0.5))),
+            (UNIT, Rule("p", "G", Conn("*", Prop("q"), Prop("r")), Unit(0.5))),
+            (UNIT, Rule("p", "G", Agg("sum", (Prop("q"),)), Unit(0.5))),
+        ]
+        for kind, rule in cases:
+            with pytest.raises(UnknownOperatorError):
+                Program.of(kind, [rule])
 
     def test_extra_symbols_kept(self):
         prog = Program.of(UNIT, [Rule("p", "G", Prop("q"), Unit(0.5))], extra_symbols=["z"])
