@@ -11,16 +11,25 @@ Stability checks and the search compute lfp(P_I) without building P_I: they
 iterate ``tp(P, J, neg=I)``, whose negated atoms read I, with the same float
 operations in the same order as ``tp(reduct(P, I), J)``.  ``reduct`` still
 builds P_I, for ``manlp reduct``.
+
+The operator runs on raw values (``lattice.Raw``), one per symbol in
+``Program.symbols`` order, through the program's compiled rules
+(``Program.compiled``); interpretations are built only where a result is
+returned.  ``iterate_tp`` keeps every iterate; ``is_stable`` and the search
+keep only the last one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
-from .lattice import LatticeKind, TruthValue, Interval, Unit, adjoint_pair, negate, sup_value
-from .semantics import Interpretation, SymbolMismatchError, _check_same_symbols, evaluate, interpretation_to_dict
+from .lattice import LatticeKind, Raw, TruthValue, Interval, Unit, bottom, from_raw, kernel, negate, to_raw
+from .semantics import Interpretation, SymbolMismatchError, interpretation_to_dict
+from .semantics import _check_same_symbols, _checked, _negated, _run
 from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program
 
 
@@ -68,6 +77,13 @@ class FixpointTrace:
         )
 
 
+def _distance(kind: LatticeKind, a: list[Raw], b: list[Raw]) -> float:
+    """``sup_norm`` of two raw value lists."""
+    if kind is LatticeKind.INTERVAL:
+        a, b = chain.from_iterable(a), chain.from_iterable(b)
+    return max(map(abs, map(sub, a, b)), default=0.0)
+
+
 def sup_norm(i: Interpretation, j: Interpretation) -> float:
     """Largest componentwise gap; interval endpoints count separately."""
     _check_same_symbols(i, j)
@@ -83,25 +99,87 @@ def sup_norm(i: Interpretation, j: Interpretation) -> float:
     return worst
 
 
+def _values(program: Program, interp: Interpretation) -> list[Raw]:
+    """The raw values of ``interp`` in the program's symbol order."""
+    if interp.kind is not program.kind or interp.symbols != set(program.symbols):
+        raise SymbolMismatchError(
+            f"interpretation symbols {sorted(interp.symbols)} ({interp.kind.value}) do not match "
+            f"the program's {list(program.symbols)} ({program.kind.value})"
+        )
+    return [to_raw(interp[s]) for s in program.symbols]
+
+
+def _interpretation(program: Program, values: list[Raw]) -> Interpretation:
+    kind = program.kind
+    return Interpretation(kind, {s: from_raw(kind, v) for s, v in zip(program.symbols, values)})
+
+
+def _bottom(program: Program) -> list[Raw]:
+    return [to_raw(bottom(program.kind))] * len(program.symbols)
+
+
+def _tail(program: Program, neg: list[Raw]) -> list[Raw]:
+    """The environment after the symbols' own values: the negations of
+    ``neg``, then the program's constants."""
+    kind = program.kind
+    return [_negated(kind, v) for v in neg] + list(program.compiled.constants)
+
+
+def _apply(program: Program, cur: list[Raw], tail: list[Raw]) -> list[Raw]:
+    """One application of the consequence operator on raw values: per
+    symbol, the supremum of its rules' contributions, bottom if it heads
+    none."""
+    kind = program.kind
+    env = cur + tail
+    sup = kernel(kind, "max")
+    bot = to_raw(bottom(kind))
+    out = []
+    for rules in program.compiled.heads:
+        values = [
+            _checked(kind, conj(weight, _run(code, leaf, env, kind)))
+            for conj, weight, code, leaf in rules
+        ]
+        if not values:
+            out.append(bot)
+        elif len(values) == 1:  # the supremum of one contribution is itself
+            out.append(values[0])
+        else:
+            out.append(_checked(kind, sup(values)))
+    return out
+
+
+def _kleene(
+    program: Program,
+    cfg: FixpointConfig,
+    cur: list[Raw],
+    neg: Optional[list[Raw]],
+    iterates: Optional[list[Interpretation]] = None,
+) -> tuple[list[Raw], bool, float]:
+    """Kleene iteration on raw values from ``cur``; negated atoms read
+    ``neg``, or the current iterate when it is None.  Appends each new
+    iterate to ``iterates`` when given.  Returns the last iterate, whether
+    the step dropped to the tolerance, and the last step."""
+    tail = None if neg is None else _tail(program, neg)
+    residual = float("inf")
+    for _ in range(cfg.max_iterations):
+        nxt = _apply(program, cur, _tail(program, cur) if tail is None else tail)
+        residual = _distance(program.kind, nxt, cur)
+        cur = nxt
+        if iterates is not None:
+            iterates.append(_interpretation(program, cur))
+        if residual <= cfg.tolerance:
+            return cur, True, residual
+    return cur, False, residual
+
+
 def tp(
     program: Program, interp: Interpretation, neg: Optional[Interpretation] = None
 ) -> Interpretation:
     """One application of the immediate consequence operator; with ``neg``
     given, negated atoms read ``neg``, which applies the reduct by ``neg``."""
-    if interp.symbols != set(program.symbols):
-        raise SymbolMismatchError(
-            f"interpretation symbols {sorted(interp.symbols)} do not match the program's {list(program.symbols)}"
-        )
-    if neg is not None:
-        _check_same_symbols(interp, neg)
-    out: dict[str, TruthValue] = {}
-    for sym in program.symbols:
-        contributions = [
-            adjoint_pair(program.kind, rule.imp)[0](rule.weight, evaluate(rule.body, interp, neg))
-            for rule in program.rules_by_head.get(sym, ())
-        ]
-        out[sym] = sup_value(contributions, program.kind)
-    return Interpretation(program.kind, out)
+    cur = _values(program, interp)
+    neg_values = cur if neg is None else _values(program, neg)
+    return _interpretation(program, _apply(program, cur, _tail(program, neg_values)))
 
 
 def reduct(program: Program, interp: Interpretation) -> Program:
@@ -131,17 +209,11 @@ def iterate_tp(
     default) until the sup-norm step drops to the tolerance or the budget
     runs out.  With ``neg`` given, the iteration from bottom computes the
     least fixpoint of the reduct by ``neg``."""
-    cur = start if start is not None else Interpretation.bottom(program.kind, program.symbols)
-    iterates = [cur]
-    residual = float("inf")
-    for _ in range(cfg.max_iterations):
-        nxt = tp(program, cur, neg)
-        residual = sup_norm(nxt, cur)
-        iterates.append(nxt)
-        cur = nxt
-        if residual <= cfg.tolerance:
-            return FixpointTrace(tuple(iterates), True, residual)
-    return FixpointTrace(tuple(iterates), False, residual)
+    start = start if start is not None else Interpretation.bottom(program.kind, program.symbols)
+    iterates = [start]
+    neg_values = None if neg is None else _values(program, neg)
+    _, converged, residual = _kleene(program, cfg, _values(program, start), neg_values, iterates)
+    return FixpointTrace(tuple(iterates), converged, residual)
 
 
 def least_fixpoint(program: Program, cfg: FixpointConfig = DEFAULT_CONFIG) -> FixpointTrace:
@@ -184,13 +256,19 @@ def check_stable(
     )
 
 
+def _is_stable(program: Program, values: list[Raw], cfg: FixpointConfig, check_tol: float) -> bool:
+    final, converged, _ = _kleene(program, cfg, _bottom(program), values)
+    return converged and _distance(program.kind, final, values) <= check_tol
+
+
 def is_stable(
     program: Program,
     interp: Interpretation,
     cfg: FixpointConfig = DEFAULT_CONFIG,
     check_tol: float = STABLE_CHECK_TOL,
 ) -> bool:
-    return check_stable(program, interp, cfg, check_tol).stable
+    """``check_stable(...).stable``, keeping no trace."""
+    return _is_stable(program, _values(program, interp), cfg, check_tol)
 
 
 def random_interpretation(
@@ -252,23 +330,28 @@ def stable_search(
 
     Each start is driven by the map I -> lfp(P_I) until the step
     falls under the tolerance, the iteration revisits an earlier point (a
-    cycle), or the round budget runs out.  Converged limits are kept only if
+    cycle), the round budget runs out, or an lfp(P_I) does not converge
+    within ``cfg.max_iterations``; all but the first count as not converged.  Converged limits are kept only if
     they pass the stability check.  An empty result means the search failed,
     not that no stable model exists.
     """
     if starts is None:
         starts = default_starts(program, seed=seed)
+    kind = program.kind
     found: list[tuple[Interpretation, FixpointTrace]] = []
+    found_values: list[list[Raw]] = []
     nonconverged = 0
     rejected = 0
     for start in starts:
-        cur = start
+        cur = _values(program, start)
         history = [cur]
-        limit: Optional[Interpretation] = None
+        limit: Optional[list[Raw]] = None
         residual = float("inf")
         for _ in range(max_rounds):
-            nxt = iterate_tp(program, cfg, neg=cur).final
-            residual = sup_norm(nxt, cur)
+            nxt, converged, _ = _kleene(program, cfg, _bottom(program), cur)
+            if not converged:
+                break  # lfp(P_cur) ran out of budget: the start does not converge
+            residual = _distance(kind, nxt, cur)
             if residual <= cfg.tolerance:
                 limit = nxt
                 history.append(nxt)
@@ -277,7 +360,7 @@ def stable_search(
             # a genuine cycle; the step guard keeps slowly converging
             # oscillations (which also pass near old iterates) iterating
             if residual > 100.0 * cfg.tolerance and any(
-                sup_norm(nxt, past) <= cfg.tolerance for past in history[-100:-1]
+                _distance(kind, nxt, past) <= cfg.tolerance for past in history[-100:-1]
             ):
                 history.append(nxt)
                 break
@@ -286,12 +369,14 @@ def stable_search(
         if limit is None:
             nonconverged += 1
             continue
-        if not is_stable(program, limit, cfg, check_tol):
+        if not _is_stable(program, limit, cfg, check_tol):
             rejected += 1
             continue
-        if any(sup_norm(limit, seen) <= dedup_tol for seen, _ in found):
+        if any(_distance(kind, limit, seen) <= dedup_tol for seen in found_values):
             continue
-        found.append((limit, FixpointTrace(tuple(history), True, residual)))
+        found_values.append(limit)
+        trace = FixpointTrace(tuple(_interpretation(program, v) for v in history), True, residual)
+        found.append((trace.final, trace))
     found.sort(key=lambda pair: _canonical_key(pair[0]))
     return StableSearchResult(tuple(found), nonconverged, rejected)
 

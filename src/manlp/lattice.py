@@ -5,11 +5,15 @@ and Łukasiewicz adjoint pairs, and the lattice C([0,1]) of closed
 subintervals of [0,1] ordered componentwise, with the family of exponential
 interval products (ei-products) and their residua.  Every operator here is a
 pure function on immutable values; values from different lattices never mix.
+Each connective, negation and aggregator is written once, as a float kernel
+on raw values (``Raw``); the operators on value objects wrap these kernels,
+and the compiled evaluator runs them directly (``kernel``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
@@ -29,7 +33,7 @@ class UnknownOperatorError(KeyError):
     """Raised when a connective or aggregator label cannot be resolved."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unit:
     """A scalar truth value in [0,1]."""
 
@@ -48,7 +52,7 @@ class Unit:
         return f"Unit({self.value!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed subinterval [lo, hi] of [0,1], ordered componentwise."""
 
@@ -75,6 +79,20 @@ class Interval:
 
 
 TruthValue = Union[Unit, Interval]
+
+#: A truth value as the evaluator holds it: a float for a unit value, a
+#: (lo, hi) pair of floats for an interval.
+Raw = Union[float, tuple[float, float]]
+
+
+def to_raw(value: TruthValue) -> Raw:
+    return value.value if isinstance(value, Unit) else (value.lo, value.hi)
+
+
+def from_raw(kind: LatticeKind, raw: Raw) -> TruthValue:
+    """Build the value object; raises the constructor's ValueError when
+    ``raw`` is out of range."""
+    return Unit(raw) if kind is LatticeKind.UNIT else Interval(*raw)
 
 
 def bottom(kind: LatticeKind) -> TruthValue:
@@ -120,19 +138,32 @@ def leq(a: TruthValue, b: TruthValue) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _lukasiewicz(x: float, y: float) -> float:
+    return max(0.0, x + y - 1.0)
+
+
+#: Float kernels of the unit conjunctors by rule tag: min(x, y), x * y and
+#: max(0, x + y - 1).  The body connective "&" + tag is the same conjunctor.
+UNIT_KERNELS: dict[str, Callable[[float, float], float]] = {
+    "G": min,
+    "P": operator.mul,
+    "L": _lukasiewicz,
+}
+
+
 def godel_and(x: TruthValue, y: TruthValue) -> Unit:
     _require_unit(x, y)
-    return Unit(min(x.value, y.value))
+    return Unit(UNIT_KERNELS["G"](x.value, y.value))
 
 
 def product_and(x: TruthValue, y: TruthValue) -> Unit:
     _require_unit(x, y)
-    return Unit(x.value * y.value)
+    return Unit(UNIT_KERNELS["P"](x.value, y.value))
 
 
 def lukasiewicz_and(x: TruthValue, y: TruthValue) -> Unit:
     _require_unit(x, y)
-    return Unit(max(0.0, x.value + y.value - 1.0))
+    return Unit(UNIT_KERNELS["L"](x.value, y.value))
 
 
 def godel_imp(z: TruthValue, y: TruthValue) -> Unit:
@@ -190,10 +221,14 @@ class EiParams:
 STAR = EiParams(1, 1, 1, 1)
 
 
+def _ei(p: EiParams, x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
+    return (x[0] ** p.alpha * y[0] ** p.gamma, x[1] ** p.beta * y[1] ** p.delta)
+
+
 def ei_product(p: EiParams, x: TruthValue, y: TruthValue) -> Interval:
     """[a,b] & [c,d] = [a^alpha * c^gamma, b^beta * d^delta]."""
     _require_interval(x, y)
-    return Interval(x.lo**p.alpha * y.lo**p.gamma, x.hi**p.beta * y.hi**p.delta)
+    return Interval(*_ei(p, (x.lo, x.hi), (y.lo, y.hi)))
 
 
 def ei_residuum(p: EiParams, z: TruthValue, y: TruthValue) -> Interval:
@@ -212,11 +247,17 @@ def ei_residuum(p: EiParams, z: TruthValue, y: TruthValue) -> Interval:
     return Interval(min(u, v), v)
 
 
+def _negate_unit(x: float) -> float:
+    return 1.0 - x
+
+
+def _negate_interval(x: tuple[float, float]) -> tuple[float, float]:
+    return (1.0 - x[1], 1.0 - x[0])
+
+
 def negate(x: TruthValue) -> TruthValue:
     """Standard negation: 1-x on [0,1], endpoint flip on intervals."""
-    if isinstance(x, Unit):
-        return Unit(1.0 - x.value)
-    return Interval(1.0 - x.hi, 1.0 - x.lo)
+    return from_raw(x.kind, kernel(x.kind, "not")(to_raw(x)))
 
 
 def sup_value(values: Iterable[TruthValue], kind: LatticeKind) -> TruthValue:
@@ -226,52 +267,52 @@ def sup_value(values: Iterable[TruthValue], kind: LatticeKind) -> TruthValue:
         return bottom(kind)
     if kind is LatticeKind.UNIT:
         _require_unit(*values)
-        return Unit(max(v.value for v in values))
-    _require_interval(*values)
-    return Interval(max(v.lo for v in values), max(v.hi for v in values))
+    else:
+        _require_interval(*values)
+    return from_raw(kind, kernel(kind, "max")([to_raw(v) for v in values]))
 
 
 # ---------------------------------------------------------------------------
-# Built-in aggregators: componentwise, monotone and continuous.
+# Built-in aggregators: componentwise, monotone and continuous.  Their
+# kernels take the list of argument values.
 # ---------------------------------------------------------------------------
 
 
-def _check_agg_args(values: tuple[TruthValue, ...]) -> None:
+def _mean(xs: list[float]) -> float:
+    return math.fsum(xs) / len(xs)
+
+
+def _endpoints(aggregate: Callable) -> Callable:
+    """Apply a scalar aggregate to the lower and to the upper endpoints."""
+    return lambda xs: tuple(map(aggregate, zip(*xs)))
+
+
+def _aggregate(name: str, values: tuple[TruthValue, ...]) -> TruthValue:
     if not values:
         raise ValueError("aggregator needs at least one argument")
     for v in values[1:]:
         _require_same_kind(values[0], v)
+    kind = values[0].kind
+    return from_raw(kind, kernel(kind, name)([to_raw(v) for v in values]))
 
 
 def agg_min(*values: TruthValue) -> TruthValue:
-    _check_agg_args(values)
-    if isinstance(values[0], Unit):
-        return Unit(min(v.value for v in values))
-    return Interval(min(v.lo for v in values), min(v.hi for v in values))
+    return _aggregate("min", values)
 
 
 def agg_max(*values: TruthValue) -> TruthValue:
-    _check_agg_args(values)
-    if isinstance(values[0], Unit):
-        return Unit(max(v.value for v in values))
-    return Interval(max(v.lo for v in values), max(v.hi for v in values))
+    return _aggregate("max", values)
 
 
 def agg_mean(*values: TruthValue) -> TruthValue:
-    _check_agg_args(values)
-    n = len(values)
-    if isinstance(values[0], Unit):
-        return Unit(math.fsum(v.value for v in values) / n)
-    return Interval(
-        math.fsum(v.lo for v in values) / n,
-        math.fsum(v.hi for v in values) / n,
-    )
+    return _aggregate("mean", values)
 
 
 # ---------------------------------------------------------------------------
 # Label tables.  A rule tag names one adjoint pair, a body label one
 # connective and an aggregator name one aggregator; negation is ``negate`` in
-# both lattices.
+# both lattices.  ``KERNELS`` holds the float kernels the evaluator runs, the
+# other tables the value-object operations that wrap them.
 # ---------------------------------------------------------------------------
 
 BinaryOp = Callable[[TruthValue, TruthValue], TruthValue]
@@ -294,6 +335,26 @@ BODY_OPS: dict[LatticeKind, dict[str, BinaryOp]] = {
 #: Aggregators by name, shared by both lattices.
 AGGREGATORS: dict[str, Callable[..., TruthValue]] = {"min": agg_min, "max": agg_max, "mean": agg_mean}
 
+#: Float kernels by label, per lattice: body connectives, unit rule tags
+#: (their conjunctors), aggregators and "not".
+KERNELS: dict[LatticeKind, dict[str, Callable]] = {
+    LatticeKind.UNIT: {
+        **UNIT_KERNELS,
+        **{"&" + tag: k for tag, k in UNIT_KERNELS.items()},
+        "min": min,
+        "max": max,
+        "mean": _mean,
+        "not": _negate_unit,
+    },
+    LatticeKind.INTERVAL: {
+        "*": partial(_ei, STAR),
+        "min": _endpoints(min),
+        "max": _endpoints(max),
+        "mean": _endpoints(_mean),
+        "not": _negate_interval,
+    },
+}
+
 
 @cache
 def adjoint_pair(kind: LatticeKind, label: ImpLabel) -> tuple[BinaryOp, BinaryOp]:
@@ -306,6 +367,19 @@ def adjoint_pair(kind: LatticeKind, label: ImpLabel) -> tuple[BinaryOp, BinaryOp
     if kind is LatticeKind.UNIT and label in UNIT_PAIRS:
         return UNIT_PAIRS[label]
     raise UnknownOperatorError(f"no adjoint pair labelled {label!r} in the {kind.value} lattice")
+
+
+@cache
+def kernel(kind: LatticeKind, label: ImpLabel) -> Callable:
+    """The float kernel a label names in ``kind``: a body connective, an
+    aggregator, "not", or a rule tag (its conjunctor); each distinct ei tag
+    builds its kernel once."""
+    if isinstance(label, EiParams) and kind is LatticeKind.INTERVAL:
+        return partial(_ei, label)
+    try:
+        return KERNELS[kind][label]
+    except KeyError:
+        raise UnknownOperatorError(f"no operator labelled {label!r} in the {kind.value} lattice") from None
 
 
 def body_op(kind: LatticeKind, op: str) -> BinaryOp:

@@ -6,19 +6,20 @@ from collections.abc import Mapping
 from typing import Iterable, Iterator, Optional
 
 from .lattice import (
-    AGGREGATORS,
-    BODY_OPS,
     LatticeKind,
+    Raw,
     TruthValue,
     Interval,
     Unit,
     adjoint_pair,
     bottom,
+    from_raw,
+    kernel,
     leq,
-    negate,
+    to_raw,
     top,
 )
-from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program, Prop, Rule
+from .syntax import AGGREGATE, BodyExpr, NegProp, Program, Prop, Rule, _compile_body
 
 
 class SymbolMismatchError(ValueError):
@@ -99,29 +100,59 @@ def interp_leq(i: Interpretation, j: Interpretation) -> bool:
     return all(leq(i[s], j[s]) for s in i)
 
 
+def _checked(kind: LatticeKind, value: Raw) -> Raw:
+    """``value`` itself if it is a truth value of ``kind``; otherwise raises
+    the value constructor's ValueError."""
+    if not (0.0 <= value <= 1.0 if kind is LatticeKind.UNIT else 0.0 <= value[0] <= value[1] <= 1.0):
+        from_raw(kind, value)
+    return value
+
+
+def _negated(kind: LatticeKind, value: Raw) -> Raw:
+    return _checked(kind, kernel(kind, "not")(value))
+
+
+def _run(code: tuple, leaf: Optional[int], env: list[Raw], kind: LatticeKind) -> Raw:
+    """The value of a compiled body (see ``syntax._compile_body``) over an
+    environment of raw values: the leaf's slot, or the last result of its
+    instructions, run with an explicit stack.  Every value an operator
+    computes is range-checked."""
+    if leaf is not None:
+        return env[leaf]
+    stack: list = []
+    for fn, x, y in code:
+        if fn is AGGREGATE:
+            # the operands not in the environment are the top of the stack, in order
+            n = y.count(None)
+            popped = iter(stack[len(stack) - n :])
+            del stack[len(stack) - n :]
+            value = x([env[a] if a is not None else next(popped) for a in y])
+        else:
+            right = env[y] if y is not None else stack.pop()
+            value = fn(env[x] if x is not None else stack.pop(), right)
+        stack.append(_checked(kind, value))
+    return value
+
+
 def evaluate(
     body: BodyExpr, interp: Interpretation, neg: Optional[Interpretation] = None
 ) -> TruthValue:
-    """Evaluate a body under an interpretation by structural recursion.
-    Negated atoms read ``neg`` if given, giving the body's value in the reduct
-    by ``neg``."""
-    ops = BODY_OPS[interp.kind]
+    """Evaluate a body under an interpretation.  Negated atoms read ``neg``
+    if given, giving the body's value in the reduct by ``neg``."""
+    kind = interp.kind
     neg = interp if neg is None else neg
+    env: list[Raw] = []
 
-    def rec(expr: BodyExpr) -> TruthValue:
-        if isinstance(expr, Prop):
-            return interp[expr.name]
-        if isinstance(expr, NegProp):
-            return negate(neg[expr.name])
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, Conn):
-            return ops[expr.op](rec(expr.left), rec(expr.right))
-        if isinstance(expr, Agg):
-            return AGGREGATORS[expr.name](*[rec(a) for a in expr.args])
-        raise TypeError(f"not a body expression: {expr!r}")
+    def slot(node: BodyExpr) -> int:
+        if isinstance(node, Prop):
+            env.append(to_raw(interp[node.name]))
+        elif isinstance(node, NegProp):
+            env.append(_negated(kind, to_raw(neg[node.name])))
+        else:
+            env.append(to_raw(node.value))
+        return len(env) - 1
 
-    return rec(body)
+    return from_raw(kind, _run(*_compile_body(kind, body, slot), env, kind))
 
 
 def rule_value(rule: Rule, interp: Interpretation) -> TruthValue:

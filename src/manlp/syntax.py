@@ -1,4 +1,4 @@
-"""Rule DSL: abstract syntax, parser and renderer.
+"""Rule DSL: abstract syntax, parser, renderer and compiled form.
 
 One rule per line::
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .lattice import (
     AGGREGATORS,
@@ -30,11 +30,14 @@ from .lattice import (
     ImpLabel,
     Interval,
     LatticeKind,
+    Raw,
     TruthValue,
     Unit,
     UnknownOperatorError,
     adjoint_pair,
     body_op,
+    kernel,
+    to_raw,
 )
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -129,10 +132,84 @@ class Program:
             by_head.setdefault(rule.head, []).append(rule)
         return {h: tuple(rs) for h, rs in by_head.items()}
 
+    @cached_property
+    def compiled(self) -> "CompiledProgram":
+        return compile_program(self)
+
     def is_positive(self) -> bool:
         return not any(
             isinstance(node, NegProp) for rule in self.rules for node in walk(rule.body)
         )
+
+
+# ---------------------------------------------------------------------------
+# Compiled form.  A body compiles to a list of instructions over an
+# environment (a list of raw values, see ``lattice.Raw``) and a stack.
+# ``(kernel, x, y)`` applies a binary kernel and ``(AGGREGATE, kernel,
+# operands)`` an aggregator; each pushes its result.  An operand is an
+# environment slot, or None for a subexpression's result, taken off the stack.
+# ---------------------------------------------------------------------------
+
+#: Marks an aggregator instruction.
+AGGREGATE = object()
+
+
+@dataclass(frozen=True)
+class CompiledProgram:
+    """A program's rules compiled over one environment: the values of the
+    symbols in ``Program.symbols`` order, then their negations, then
+    ``constants``.  ``heads`` lists the rules of each symbol, in the same
+    order, as (conjunctor kernel, raw weight, body instructions, body leaf
+    slot); see ``_compile_body``."""
+
+    heads: tuple[tuple[tuple, ...], ...]
+    constants: tuple[Raw, ...]
+
+
+def _compile_body(kind: LatticeKind, body: BodyExpr, slot) -> tuple[list, Optional[int]]:
+    """The instructions of a body, and the slot of a body that is a single
+    leaf (it has no instructions) or None.  ``slot`` maps each atom, negated
+    atom or constant node to its environment slot."""
+    code: list = []
+
+    def emit(expr: BodyExpr) -> Optional[int]:
+        if isinstance(expr, (Prop, NegProp, Const)):
+            return slot(expr)
+        if isinstance(expr, Conn):
+            left = emit(expr.left)
+            code.append((kernel(kind, expr.op), left, emit(expr.right)))
+        elif isinstance(expr, Agg):
+            operands = tuple(emit(arg) for arg in expr.args)
+            code.append((AGGREGATE, kernel(kind, expr.name), operands))
+        else:
+            raise TypeError(f"not a body expression: {expr!r}")
+        return None
+
+    return code, emit(body)
+
+
+def compile_program(program: Program) -> CompiledProgram:
+    """Compile every rule; ``Program.compiled`` keeps the result."""
+    kind = program.kind
+    n = len(program.symbols)
+    pos = {sym: i for i, sym in enumerate(program.symbols)}
+    neg = {sym: n + i for i, sym in enumerate(program.symbols)}
+    constants: list[Raw] = []
+
+    def slot(node: BodyExpr) -> int:
+        if isinstance(node, Prop):
+            return pos[node.name]
+        if isinstance(node, NegProp):
+            return neg[node.name]
+        constants.append(to_raw(node.value))
+        return 2 * n + len(constants) - 1
+
+    def compile_rule(rule: Rule) -> tuple:
+        code, leaf = _compile_body(kind, rule.body, slot)
+        return kernel(kind, rule.imp), to_raw(rule.weight), tuple(code), leaf
+
+    heads = tuple(tuple(compile_rule(rule) for rule in program.rules_by_head.get(sym, ())) for sym in program.symbols)
+    return CompiledProgram(heads, tuple(constants))
 
 
 def walk(expr: BodyExpr):

@@ -107,14 +107,23 @@ class TestStable:
             capsys.readouterr()
 
     def test_search_reports_rejected_limits(self, tmp_path, capsys):
-        # a one-step budget makes every round return T(bottom) of its reduct:
-        # each start settles, and no limit passes the stability check
+        # a coarse tolerance lets every start settle on a point that is not
+        # within the stability check's 1e-7 of its reduct's fixpoint
         report = tmp_path / "r.json"
-        assert main(["stable", EX1, "--search", "--max", "1", "--json", str(report)]) == 3
+        assert main(["stable", EX3, "--search", "--tol", "0.5", "--json", str(report)]) == 3
         assert "0 start(s) did not converge; 10 limit(s) failed the stability check" in capsys.readouterr().out
         doc = json.loads(report.read_text())
         assert doc["rejected_limits"] == 10
         assert doc["nonconverged_starts"] == 0
+
+    def test_search_budget_counts_as_nonconverged(self, tmp_path, capsys):
+        # with a one-step budget no lfp(P_I) converges, so no start does
+        report = tmp_path / "r.json"
+        assert main(["stable", EX1, "--search", "--max", "1", "--json", str(report)]) == 3
+        assert "10 start(s) did not converge; 0 limit(s) failed the stability check" in capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        assert doc["nonconverged_starts"] == 10
+        assert doc["rejected_limits"] == 0
 
     def test_brute_clusters(self, capsys):
         assert main(["stable", EX3, "--brute", "10"]) == 0
