@@ -20,9 +20,11 @@ import sys
 import time
 
 from .engine import (
+    STABLE_CHECK_TOL,
     FixpointConfig,
     FixpointTrace,
-    check_stable,
+    _stability,
+    _values,
     iterate_tp,
     reduct,
     stable_search,
@@ -173,17 +175,18 @@ def _cmd_stable(args) -> int:
     doc = {"command": "stable", "program": {"path": args.program, "sha256": digest}}
 
     if args.check:
-        interp = _load_interp(args.check, program)
-        result = check_stable(program, interp, cfg)
-        doc["verdict"] = result.stable
-        doc["distance"] = result.distance
-        doc["lfp_converged"] = result.lfp_converged
+        # check_stable without its trace, which nothing here prints
+        converged, distance = _stability(program, _values(program, _load_interp(args.check, program)), cfg)
+        stable = converged and distance <= STABLE_CHECK_TOL
+        doc["verdict"] = stable
+        doc["distance"] = distance
+        doc["lfp_converged"] = converged
         _write_json(args, doc)
-        if not result.lfp_converged:
+        if not converged:
             print("stable: unknown (reduct fixpoint iteration did not converge)")
             return 3
-        print(f"stable: {'yes' if result.stable else 'no'}  (distance {_fmt(result.distance)})")
-        return 0 if result.stable else 1
+        print(f"stable: {'yes' if stable else 'no'}  (distance {_fmt(distance)})")
+        return 0 if stable else 1
 
     if args.brute is not None:
         try:

@@ -17,6 +17,13 @@ The operator runs on raw values (``lattice.Raw``), one per symbol in
 (``Program.compiled``); interpretations are built only where a result is
 returned.  ``iterate_tp`` keeps every iterate; ``is_stable`` and the search
 keep only the last one.
+
+Kleene iteration is change-driven (semi-naive): after the first step, which
+evaluates every rule, a step evaluates only the rules that read a symbol
+(or, when negated atoms read the current iterate, a negation) that moved in
+the step before, through the compiled program's reader index.  A rule's
+value depends only on what it reads, so the iterates are bit-identical to
+evaluating every rule on every step.  ``tp`` is the first step.
 """
 
 from __future__ import annotations
@@ -24,8 +31,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from itertools import chain
+from math import copysign
 from operator import sub
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .lattice import LatticeKind, Raw, TruthValue, Interval, Unit, bottom, from_raw, kernel, negate, to_raw
 from .semantics import Interpretation, SymbolMismatchError, interpretation_to_dict
@@ -54,6 +62,9 @@ DEFAULT_CONFIG = FixpointConfig()
 
 #: Distance under which a candidate counts as a fixpoint of its own reduct.
 STABLE_CHECK_TOL = 1e-7
+
+#: ``tp`` is the first step of the Kleene loop.
+_ONE_STEP = FixpointConfig(max_iterations=1)
 
 
 @dataclass(frozen=True)
@@ -125,27 +136,15 @@ def _tail(program: Program, neg: list[Raw]) -> list[Raw]:
     return [_negated(kind, v) for v in neg] + list(program.compiled.constants)
 
 
-def _apply(program: Program, cur: list[Raw], tail: list[Raw]) -> list[Raw]:
-    """One application of the consequence operator on raw values: per
-    symbol, the supremum of its rules' contributions, bottom if it heads
-    none."""
-    kind = program.kind
-    env = cur + tail
-    sup = kernel(kind, "max")
-    bot = to_raw(bottom(kind))
-    out = []
-    for rules in program.compiled.heads:
-        values = [
-            _checked(kind, conj(weight, _run(code, leaf, env, kind)))
-            for conj, weight, code, leaf in rules
-        ]
-        if not values:
-            out.append(bot)
-        elif len(values) == 1:  # the supremum of one contribution is itself
-            out.append(values[0])
-        else:
-            out.append(_checked(kind, sup(values)))
-    return out
+def _moved(old: Raw, new: Raw) -> bool:
+    """Whether a value changed.  0.0 and -0.0 are equal but count as
+    different: a product keeps the sign of a zero factor, and the sign is
+    printed."""
+    if old != new:
+        return True
+    if isinstance(old, tuple):
+        return copysign(1.0, old[0]) != copysign(1.0, new[0]) or copysign(1.0, old[1]) != copysign(1.0, new[1])
+    return copysign(1.0, old) != copysign(1.0, new)
 
 
 def _kleene(
@@ -158,18 +157,61 @@ def _kleene(
     """Kleene iteration on raw values from ``cur``; negated atoms read
     ``neg``, or the current iterate when it is None.  Appends each new
     iterate to ``iterates`` when given.  Returns the last iterate, whether
-    the step dropped to the tolerance, and the last step."""
-    tail = None if neg is None else _tail(program, neg)
+    the step dropped to the tolerance, and the last step.
+
+    Each step applies the consequence operator: per symbol, the supremum of
+    its rules' contributions, bottom if it heads none.  The first step
+    evaluates every rule; a later one only the rules that read a slot that
+    moved in the step before (a negated slot moves only when ``neg`` is
+    None).  Every other rule keeps its last value, and a symbol none of
+    whose rules ran keeps its own."""
+    kind = program.kind
+    compiled = program.compiled
+    rules, offsets, head_of = compiled.rules, compiled.offsets, compiled.head_of
+    readers, reader_offsets = compiled.readers, compiled.reader_offsets
+    sup = kernel(kind, "max")
+    bot = to_raw(bottom(kind))
+    n = len(cur)
+    env = cur + _tail(program, cur if neg is None else neg)
+    values: list[Raw] = [bot] * len(rules)  # each rule's last contribution
+    heads: Iterable[int] = range(n)
+    dirty: Container[int] = range(len(rules))
+    moved: list[int] = []
     residual = float("inf")
-    for _ in range(cfg.max_iterations):
-        nxt = _apply(program, cur, _tail(program, cur) if tail is None else tail)
-        residual = _distance(program.kind, nxt, cur)
-        cur = nxt
+    for step in range(cfg.max_iterations):
+        if step:
+            dirty = set()
+            for h in moved:
+                dirty.update(readers[reader_offsets[h] : reader_offsets[h + 1]])
+                if neg is None:
+                    env[n + h] = _negated(kind, env[h])
+                    dirty.update(readers[reader_offsets[n + h] : reader_offsets[n + h + 1]])
+            heads = sorted({head_of[r] for r in dirty})
+        moved, old, new = [], [], []
+        for h in heads:
+            lo, hi = offsets[h], offsets[h + 1]
+            for r in range(lo, hi):
+                if r in dirty:
+                    conj, weight, code, leaf = rules[r]
+                    values[r] = _checked(kind, conj(weight, _run(code, leaf, env, kind)))
+            if lo == hi:
+                value = bot
+            elif hi - lo == 1:  # the supremum of one contribution is itself
+                value = values[lo]
+            else:
+                value = _checked(kind, sup(values[lo:hi]))
+            if _moved(env[h], value):
+                moved.append(h)
+                old.append(env[h])
+                new.append(value)
+        residual = _distance(kind, new, old)
+        for h, value in zip(moved, new):
+            env[h] = value
         if iterates is not None:
-            iterates.append(_interpretation(program, cur))
+            iterates.append(_interpretation(program, env[:n]))
         if residual <= cfg.tolerance:
-            return cur, True, residual
-    return cur, False, residual
+            return env[:n], True, residual
+    return env[:n], False, residual
 
 
 def tp(
@@ -177,9 +219,8 @@ def tp(
 ) -> Interpretation:
     """One application of the immediate consequence operator; with ``neg``
     given, negated atoms read ``neg``, which applies the reduct by ``neg``."""
-    cur = _values(program, interp)
-    neg_values = cur if neg is None else _values(program, neg)
-    return _interpretation(program, _apply(program, cur, _tail(program, neg_values)))
+    neg_values = None if neg is None else _values(program, neg)
+    return _interpretation(program, _kleene(program, _ONE_STEP, _values(program, interp), neg_values)[0])
 
 
 def reduct(program: Program, interp: Interpretation) -> Program:
@@ -256,9 +297,11 @@ def check_stable(
     )
 
 
-def _is_stable(program: Program, values: list[Raw], cfg: FixpointConfig, check_tol: float) -> bool:
+def _stability(program: Program, values: list[Raw], cfg: FixpointConfig) -> tuple[bool, float]:
+    """Whether lfp(P_I) converged, and its distance from I, for I given by
+    its raw values; ``check_stable`` without the trace."""
     final, converged, _ = _kleene(program, cfg, _bottom(program), values)
-    return converged and _distance(program.kind, final, values) <= check_tol
+    return converged, _distance(program.kind, final, values)
 
 
 def is_stable(
@@ -268,7 +311,8 @@ def is_stable(
     check_tol: float = STABLE_CHECK_TOL,
 ) -> bool:
     """``check_stable(...).stable``, keeping no trace."""
-    return _is_stable(program, _values(program, interp), cfg, check_tol)
+    converged, distance = _stability(program, _values(program, interp), cfg)
+    return converged and distance <= check_tol
 
 
 def random_interpretation(
@@ -369,7 +413,8 @@ def stable_search(
         if limit is None:
             nonconverged += 1
             continue
-        if not _is_stable(program, limit, cfg, check_tol):
+        converged, distance = _stability(program, limit, cfg)
+        if not (converged and distance <= check_tol):
             rejected += 1
             continue
         if any(_distance(kind, limit, seen) <= dedup_tol for seen in found_values):

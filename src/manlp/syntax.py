@@ -18,6 +18,7 @@ ones (* and ei tags) cannot be mixed in one program.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -158,11 +159,22 @@ AGGREGATE = object()
 class CompiledProgram:
     """A program's rules compiled over one environment: the values of the
     symbols in ``Program.symbols`` order, then their negations, then
-    ``constants``.  ``heads`` lists the rules of each symbol, in the same
-    order, as (conjunctor kernel, raw weight, body instructions, body leaf
-    slot); see ``_compile_body``."""
+    ``constants``.  ``rules`` holds every rule as (conjunctor kernel, raw
+    weight, body instructions, body leaf slot), see ``_compile_body``,
+    grouped by head in symbol order: the rules of symbol ``i`` are
+    ``rules[offsets[i]:offsets[i + 1]]``, in program order, and
+    ``head_of[r]`` is ``i`` for each of them.  The rules whose body reads
+    slot ``s``, one of the ``2 * len(symbols)`` slots of symbol values and
+    negations (constants never change), are
+    ``readers[reader_offsets[s]:reader_offsets[s + 1]]``, in increasing
+    order.  The index arrays hold machine integers: a 9000-rule program
+    would need as many int objects again."""
 
-    heads: tuple[tuple[tuple, ...], ...]
+    rules: tuple[tuple, ...]
+    offsets: tuple[int, ...]
+    head_of: array
+    readers: array
+    reader_offsets: array
     constants: tuple[Raw, ...]
 
 
@@ -193,23 +205,35 @@ def compile_program(program: Program) -> CompiledProgram:
     kind = program.kind
     n = len(program.symbols)
     pos = {sym: i for i, sym in enumerate(program.symbols)}
-    neg = {sym: n + i for i, sym in enumerate(program.symbols)}
     constants: list[Raw] = []
+    rules: list[tuple] = []
+    offsets = [0]
+    head_of = array("l")
+    slot_readers: list[list[int]] = [[] for _ in range(2 * n)]
+    read: set[int] = set()  # the symbol slots the rule being compiled reads
 
     def slot(node: BodyExpr) -> int:
-        if isinstance(node, Prop):
-            return pos[node.name]
-        if isinstance(node, NegProp):
-            return neg[node.name]
-        constants.append(to_raw(node.value))
-        return 2 * n + len(constants) - 1
+        if isinstance(node, Const):
+            constants.append(to_raw(node.value))
+            return 2 * n + len(constants) - 1
+        s = pos[node.name] if isinstance(node, Prop) else n + pos[node.name]
+        read.add(s)
+        return s
 
-    def compile_rule(rule: Rule) -> tuple:
-        code, leaf = _compile_body(kind, rule.body, slot)
-        return kernel(kind, rule.imp), to_raw(rule.weight), tuple(code), leaf
-
-    heads = tuple(tuple(compile_rule(rule) for rule in program.rules_by_head.get(sym, ())) for sym in program.symbols)
-    return CompiledProgram(heads, tuple(constants))
+    for h, sym in enumerate(program.symbols):
+        for rule in program.rules_by_head.get(sym, ()):
+            code, leaf = _compile_body(kind, rule.body, slot)
+            for s in read:
+                slot_readers[s].append(len(rules))  # this rule's index
+            read.clear()
+            rules.append((kernel(kind, rule.imp), to_raw(rule.weight), tuple(code), leaf))
+            head_of.append(h)
+        offsets.append(len(rules))
+    readers, reader_offsets = array("l"), array("l", [0])
+    for indices in slot_readers:
+        readers.extend(indices)
+        reader_offsets.append(len(readers))
+    return CompiledProgram(tuple(rules), tuple(offsets), head_of, readers, reader_offsets, tuple(constants))
 
 
 def walk(expr: BodyExpr):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from manlp import engine
 from manlp.cli import main
 from conftest import PROGRAMS
 
@@ -84,6 +85,14 @@ class TestStable:
     def test_check_yes(self, capsys, interp_m):
         assert main(["stable", EX3, "--check", interp_m]) == 0
         assert "stable: yes" in capsys.readouterr().out
+
+    def test_check_keeps_no_trace(self, capsys, interp_m, monkeypatch):
+        # the verdict needs only the last iterate of lfp(P_I), so no iterate
+        # becomes an Interpretation
+        build, built = engine._interpretation, []
+        monkeypatch.setattr(engine, "_interpretation", lambda *args: built.append(args) or build(*args))
+        assert main(["stable", EX3, "--check", interp_m]) == 0
+        assert built == []
 
     def test_check_no(self, capsys, tmp_path):
         bot = write_json(tmp_path / "bot.json", {"p": 0, "q": 0, "s": 0, "t": 0})

@@ -1,5 +1,5 @@
-"""The compiled float evaluator against a recursive fold over the lattice
-algebra's value-object operations."""
+"""The compiled float evaluator and its change-driven Kleene loop against a
+recursive fold over the lattice algebra's value-object operations."""
 
 import random
 from functools import partial
@@ -11,6 +11,7 @@ from manlp import (
     Conn,
     Const,
     EiParams,
+    FixpointConfig,
     Interpretation,
     LatticeKind,
     NegProp,
@@ -21,14 +22,17 @@ from manlp import (
     ei_product,
     evaluate,
     godel_and,
+    interpretation_to_dict,
+    iterate_tp,
     lukasiewicz_and,
     negate,
     product_and,
     stable_search,
+    sup_norm,
     sup_value,
     tp,
 )
-from manlp import lattice, syntax
+from manlp import engine, lattice, syntax
 from manlp.lattice import STAR
 from manlp.syntax import walk
 from conftest import unit_interp
@@ -109,3 +113,55 @@ def test_out_of_range_result_raises(monkeypatch):
             tp(program, interp)
     finally:
         lattice.kernel.cache_clear()
+
+
+def assert_iterates_match_reference(program, trace, cfg, neg=None):
+    """Each iterate is one full reference application to the one before
+    (negated atoms reading ``neg``, or that iterate), printed alike; the
+    trace stops at the first step within the tolerance."""
+    steps = list(zip(trace.iterates, trace.iterates[1:]))
+    for before, after in steps:
+        want = ref_tp(program, before, before if neg is None else neg)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(interpretation_to_dict(after)) == repr(interpretation_to_dict(want))
+    gaps = [sup_norm(before, after) for before, after in steps]
+    assert all(gap > cfg.tolerance for gap in gaps[:-1])
+    assert trace.residual == gaps[-1]
+    assert trace.converged == (gaps[-1] <= cfg.tolerance)
+
+
+def test_change_driven_iterates_match_the_reference():
+    rng = random.Random(43)
+    cfg = FixpointConfig(max_iterations=60)
+    for _ in range(300):
+        prog = random_program(rng)
+        start = random_interpretation(rng, prog.kind, prog.symbols)
+        neg = random_interpretation(rng, prog.kind, prog.symbols)
+        assert_iterates_match_reference(prog, iterate_tp(prog, cfg, start=start), cfg)
+        assert_iterates_match_reference(prog, iterate_tp(prog, cfg, neg=neg), cfg, neg)
+    # -0.0 == 0.0, but q's product keeps p's sign: q must run again when p
+    # moves from -0.0 to 0.0
+    prog = syntax.load_program("q <-P p ; 0.5\np <-G 0.0 ; 1.0\nr <-P q ; 1.0\n")
+    trace = iterate_tp(prog, cfg, start=unit_interp(p=-0.0, q=0.3, r=0.2))
+    assert_iterates_match_reference(prog, trace, cfg)
+    assert [repr(i["q"].value) for i in trace.iterates] == ["0.3", "-0.0", "0.0", "0.0"]
+
+
+def test_chain_reevaluates_only_moved_readers(monkeypatch):
+    # p0 is a fact and p_i reads p_{i-1}: the value moves one link per step,
+    # so after the first step only one rule has a moved input.  Evaluating
+    # every rule on every step would take about k * k evaluations.
+    k = 50
+    text = "p0 <-P 1 ; 0.9\n" + "".join(f"p{i} <-P p{i - 1} ; 0.9\n" for i in range(1, k))
+    prog = syntax.load_program(text)
+    run, runs = engine._run, []
+
+    def counting(*args):
+        runs.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(engine, "_run", counting)
+    trace = iterate_tp(prog)
+    assert trace.converged and len(trace.iterates) == k + 2
+    assert trace.final == ref_tp(prog, trace.final, trace.final)
+    assert len(runs) <= 3 * k
