@@ -42,7 +42,7 @@ from .semantics import (
     value_to_json,
 )
 from .syntax import ParseError, Program, load_program, render_program, render_rule
-from .uniqueness import IneligibleProgramError, UncertifiedProgramError, certify, solve_unique_traced
+from .uniqueness import IneligibleProgramError, UncertifiedProgramError, _solve_certified, certify
 
 
 def _fmt(x: float) -> str:
@@ -262,7 +262,7 @@ def _cmd_cert(args) -> int:
     }
     if args.solve and report.verdict:
         try:
-            model, trace = solve_unique_traced(program, _config(args))
+            model, trace = _solve_certified(program, _config(args))  # certified above
         except UncertifiedProgramError as exc:
             print(f"error: {exc}", file=sys.stderr)
             _write_json(args, doc)

@@ -21,7 +21,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .lattice import (
     AGGREGATORS,
@@ -118,9 +118,8 @@ class Program:
         rules = tuple(rules)
         names: set[str] = set(extra_symbols)
         for rule in rules:
-            _validate_rule(kind, rule)
+            names.update(_validate_rule(kind, rule))
             names.add(rule.head)
-            names.update(name for name, _ in body_atoms(rule.body))
         for name in names:
             if not _ATOM_RE.match(name) or name in _RESERVED:
                 raise ValueError(f"invalid atom name {name!r}")
@@ -258,17 +257,19 @@ def body_atoms(expr: BodyExpr) -> list[tuple[str, bool]]:
     return out
 
 
-def _validate_rule(kind: LatticeKind, rule: Rule) -> None:
+def _validate_rule(kind: LatticeKind, rule: Rule) -> set[str]:
+    """Check a rule against the lattice in one walk of its body; return the
+    atoms of the body."""
     adjoint_pair(kind, rule.imp)  # raises on a label foreign to this lattice
     if rule.weight.kind is not kind:
         raise ValueError(f"rule weight {rule.weight!r} does not belong to the {kind.value} lattice")
-    seen: set[str] = set()
-    for name, _ in body_atoms(rule.body):
-        if name in seen:
-            raise ValueError(f"atom {name!r} occurs twice in one body")
-        seen.add(name)
+    atoms: set[str] = set()
     for node in walk(rule.body):
-        if isinstance(node, Const) and node.value.kind is not kind:
+        if isinstance(node, (Prop, NegProp)):
+            if node.name in atoms:
+                raise ValueError(f"atom {node.name!r} occurs twice in one body")
+            atoms.add(node.name)
+        elif isinstance(node, Const) and node.value.kind is not kind:
             raise ValueError(f"constant {node.value!r} does not belong to the {kind.value} lattice")
         elif isinstance(node, Conn):
             body_op(kind, node.op)
@@ -277,57 +278,43 @@ def _validate_rule(kind: LatticeKind, rule: Rule) -> None:
                 raise UnknownOperatorError(f"unknown aggregator @{node.name}")
             if not node.args:
                 raise ValueError(f"aggregator @{node.name} needs at least one argument")
+    return atoms
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'ident', 'number', or the literal symbol; 'end' at line end
     text: str
     line: int
     col: int
 
 
+# ASCII only: any other character, a non-ASCII letter or digit included, is
+# an error.  A '&' that does not start a connective is matched by `bad`.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]+|(?P<comment>#)"
+    r"|(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<symbol><-|" + "|".join(re.escape("&" + tag) for tag in UNIT_PAIRS) + r"|[*()\[\],;@])"
+    r"|(?P<bad>&?.)",
+    re.DOTALL,
+)
+
+
 def _tokenize_line(text: str, lineno: int) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "#":
+    for m in _TOKEN_RE.finditer(text):
+        kind, word, col = m.lastgroup, m.group(), m.start() + 1
+        if kind == "comment":
             break
-        col = i + 1
-        if c.isdigit():
-            m = _NUMBER_RE.match(text, i)
-            tokens.append(_Token("number", m.group(), lineno, col))
-            i = m.end()
-        elif c.isalpha() or c == "_":
-            m = _IDENT_RE.match(text, i)
-            tokens.append(_Token("ident", m.group(), lineno, col))
-            i = m.end()
-        elif c == "<" and text[i + 1 : i + 2] == "-":
-            tokens.append(_Token("<-", "<-", lineno, col))
-            i += 2
-        elif c == "&":
-            tag = text[i + 1 : i + 2]
-            if tag not in UNIT_PAIRS:
-                raise ParseError(f"unknown connective '&{tag}'", lineno, col)
-            tokens.append(_Token("&" + tag, "&" + tag, lineno, col))
-            i += 2
-        elif c in "*()[],;@":
-            tokens.append(_Token(c, c, lineno, col))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", lineno, col)
+        if kind == "bad":
+            if word[0] == "&":
+                raise ParseError(f"unknown connective '{word}'", lineno, col)
+            raise ParseError(f"unexpected character {word!r}", lineno, col)
+        if kind is not None:  # None: whitespace
+            tokens.append(_Token(word if kind == "symbol" else kind, word, lineno, col))
     tokens.append(_Token("end", "", lineno, len(text) + 1))
     return tokens
 

@@ -28,7 +28,7 @@ from .engine import (
 )
 from .lattice import EiParams, Interval, LatticeKind, sup_value
 from .semantics import Interpretation
-from .syntax import Conn, BodyExpr, NegProp, Program, Prop, Rule, body_atoms, walk
+from .syntax import Conn, BodyExpr, NegProp, Program, Prop, Rule, walk
 
 
 class IneligibleProgramError(ValueError):
@@ -75,16 +75,16 @@ def star_decompose(body: BodyExpr) -> Optional[tuple[tuple[str, ...], tuple[str,
     Returns None when the body contains anything else (constants,
     aggregators, other connectives).
     """
-    if not all(
-        isinstance(node, (Prop, NegProp)) or (isinstance(node, Conn) and node.op == "*")
-        for node in walk(body)
-    ):
-        return None
-    atoms = body_atoms(body)
-    return (
-        tuple(name for name, negated in atoms if not negated),
-        tuple(name for name, negated in atoms if negated),
-    )
+    pos: list[str] = []
+    neg: list[str] = []
+    for node in walk(body):
+        if isinstance(node, Prop):
+            pos.append(node.name)
+        elif isinstance(node, NegProp):
+            neg.append(node.name)
+        elif not (isinstance(node, Conn) and node.op == "*"):
+            return None
+    return tuple(pos), tuple(neg)
 
 
 def eligibility_violations(program: Program) -> list[str]:
@@ -191,6 +191,12 @@ def solve_unique_traced(
         raise UncertifiedProgramError(
             f"certificate fails: max per-rule bound {report.global_lipschitz} is not < 1"
         )
+    return _solve_certified(program, cfg)
+
+
+def _solve_certified(program: Program, cfg: FixpointConfig) -> tuple[Interpretation, FixpointTrace]:
+    """The iteration of ``solve_unique_traced`` on a program whose
+    certificate verdict the caller has already found positive."""
     trace = iterate_tp(program, cfg)
     if not trace.converged:
         raise UncertifiedProgramError(

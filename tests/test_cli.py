@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from manlp import engine
+from manlp import engine, uniqueness
 from manlp.cli import main
 from conftest import PROGRAMS
 
@@ -169,6 +169,18 @@ class TestCert:
         assert doc["certificate"]["global_lipschitz"] == pytest.approx(0.9)
         assert doc["model"]["p"] == [0.7, 0.9]
 
+    def test_solve_certifies_once(self, capsys, monkeypatch):
+        check = uniqueness.eligibility_violations
+        calls = []
+
+        def counting(program):
+            calls.append(program)
+            return check(program)
+
+        monkeypatch.setattr(uniqueness, "eligibility_violations", counting)
+        assert main(["cert", CERT, "--solve"]) == 0
+        assert len(calls) == 1
+
     def test_ineligible_program(self, capsys):
         assert main(["cert", EX1]) == 1
         assert "does not apply" in capsys.readouterr().out
@@ -207,6 +219,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "nested too deeply" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["p <-G \u00e9 ; 0.5\n", "p <-G q ; \u00b2\n", "p <-G q ; \u0660.5\n"],
+        ids=["letter", "superscript", "arabic_indic_zero"],
+    )
+    def test_non_ascii_exit_2(self, tmp_path, capsys, text):
+        # exit 1 would read as "not stable" or "not certified"
+        path = tmp_path / "bad.mnlp"
+        path.write_text(text, encoding="utf-8")
+        for command in (["stable", str(path)], ["cert", str(path)]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "parse error: 1:" in err
+            assert "Traceback" not in err
 
     def test_interp_mismatch_exit_2(self, tmp_path):
         bad = write_json(tmp_path / "short.json", {"p": 0.5})

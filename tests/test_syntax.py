@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manlp import (
     Agg,
@@ -18,9 +20,11 @@ from manlp import (
     UnknownOperatorError,
     body_atoms,
     detect_kind,
+    load_program,
     parse_program,
     render_program,
 )
+from manlp import syntax
 from conftest import PROGRAMS
 from genprog import random_program
 
@@ -122,6 +126,30 @@ class TestParseErrors:
     def test_negation_of_subexpression_rejected(self):
         self.assert_error("p <-G not (q &G r) ; 0.5", UNIT, line=1, fragment="atom")
 
+    def test_non_ascii_characters(self):
+        # a letter, a superscript digit and an Arabic-Indic zero: str.isalpha
+        # and str.isdigit accept them, the rule language does not
+        self.assert_error("p <-G \u00e9 ; 0.5", UNIT, line=1, fragment="1:7: unexpected character")
+        self.assert_error("p <-G q ; \u00b2", UNIT, line=1, fragment="1:11: unexpected character")
+        self.assert_error("p <-G q ; \u0660.5", UNIT, line=1, fragment="1:11: unexpected character")
+        self.assert_error("p <-G q ; 0.5\nr\u00e9 <-G q ; 0.5", UNIT, line=2, fragment="2:2: unexpected character")
+
+
+_PIECES = [
+    "p", "q", "r", "not", "<-", "G", "P", "L", "ei", "(", ")", "[", "]", ",", ";", "@", "mean",
+    "max", "&G", "&P", "&", "*", "0", "0.5", "1", "2", "1e3", ".", "<", " ", "\n", "#",
+    "\u00e9", "\u00b2", "\u0660",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_load_program_raises_only_parse_errors(text):
+    try:
+        load_program(text)
+    except ParseError:
+        pass
+
 
 class TestProgramConstruction:
     def test_of_rejects_duplicate_atoms(self):
@@ -142,6 +170,24 @@ class TestProgramConstruction:
         for kind, rule in cases:
             with pytest.raises(UnknownOperatorError):
                 Program.of(kind, [rule])
+
+    def test_of_walks_each_body_once(self, monkeypatch):
+        rules = [
+            Rule("p", "G", Conn("&G", Prop("q"), NegProp("r")), Unit(0.5)),
+            Rule("q", "P", Agg("mean", (Prop("p"), Const(Unit(0.2)))), Unit(0.4)),
+        ]
+        walk = syntax.walk
+        entries = []
+
+        def counting(expr):
+            # walk recurses through the module global: count only the calls
+            # that start at a rule's body
+            entries.extend(r.head for r in rules if r.body is expr)
+            return walk(expr)
+
+        monkeypatch.setattr(syntax, "walk", counting)
+        Program.of(UNIT, rules)
+        assert sorted(entries) == ["p", "q"]
 
     def test_extra_symbols_kept(self):
         prog = Program.of(UNIT, [Rule("p", "G", Prop("q"), Unit(0.5))], extra_symbols=["z"])
