@@ -167,18 +167,9 @@ def _grid_axes(kind: LatticeKind, resolution: int) -> tuple[np.ndarray, ...]:
     return (np.asarray(los), np.asarray(his))
 
 
-def _grid_interpretations(program: Program, grid: GridSpec) -> _Vec:
-    """All grid interpretations of the program, as one flat vector batch."""
-    axes = _grid_axes(program.kind, grid.resolution)
-    k = len(axes[0])
-    n = len(program.symbols)
-    total = k**n
-    idx = np.arange(total)
-    frozen: _Vec = {}
-    for i, sym in enumerate(program.symbols):
-        digit = (idx // k ** (n - 1 - i)) % k
-        frozen[sym] = tuple(axis[digit] for axis in axes)
-    return frozen
+#: Grid points per enumeration chunk: a chunk's per-rule temporaries stay
+#: cache-sized, and numpy's per-call overhead is still spread over many points.
+_CHUNK = 1 << 14
 
 
 def _point_interpretation(program: Program, frozen: _Vec, index: int) -> Interpretation:
@@ -192,6 +183,55 @@ def _point_interpretation(program: Program, frozen: _Vec, index: int) -> Interpr
     return Interpretation(program.kind, values)
 
 
+@dataclass
+class _Chunk:
+    """Grid points ``lo`` up to ``hi`` of the enumeration, with their Kleene
+    iterate, the number of steps taken and the size of the last step."""
+
+    lo: int
+    hi: int
+    cur: _Vec
+    it: int = 0
+    step: float = float("inf")
+
+    def frozen(self, program: Program, axes: tuple[np.ndarray, ...]) -> _Vec:
+        """The chunk's grid interpretations, as a vector batch."""
+        k = len(axes[0])
+        n = len(program.symbols)
+        idx = np.arange(self.lo, self.hi)
+        frozen: _Vec = {}
+        for i, sym in enumerate(program.symbols):
+            digit = (idx // k ** (n - 1 - i)) % k
+            frozen[sym] = tuple(axis[digit] for axis in axes)
+        return frozen
+
+    def behind(self, target: int, cfg: FixpointConfig) -> bool:
+        """Whether the chunk must step on to reach an iteration >= ``target``
+        at which its step is within the tolerance (or the budget is spent)."""
+        return self.it < cfg.max_iterations and (self.it < target or self.step > cfg.tolerance)
+
+    def advance(self, program: Program, frozen: _Vec, target: int, cfg: FixpointConfig) -> None:
+        while self.behind(target, cfg):
+            nxt = _vec_tp(program, pos=self.cur, neg=frozen)
+            step = 0.0
+            for sym in program.symbols:
+                for a, b in zip(self.cur[sym], nxt[sym]):
+                    step = max(step, float(np.max(np.abs(a - b))))
+            self.cur, self.it, self.step = nxt, self.it + 1, step
+
+    def harvest(
+        self, program: Program, frozen: _Vec, grid: GridSpec,
+        candidates: list[Interpretation], residuals: list[float],
+    ) -> None:
+        dist = np.zeros(self.hi - self.lo)
+        for sym in program.symbols:
+            for c, f in zip(self.cur[sym], frozen[sym]):
+                dist = np.maximum(dist, np.abs(c - f))
+        indices = np.nonzero(dist <= grid.step + 1e-12)[0]
+        candidates.extend(_point_interpretation(program, frozen, i) for i in indices)
+        residuals.extend(float(dist[i]) for i in indices)
+
+
 def brute_force_stable(
     program: Program, grid: GridSpec, cfg: FixpointConfig = DEFAULT_CONFIG
 ) -> list[Cluster]:
@@ -201,6 +241,13 @@ def brute_force_stable(
     (negated atoms frozen at the grid values, iteration from bottom) lands
     within one grid step of it.  Qualifying points are merged into clusters
     by single linkage within two grid steps.
+
+    The grid is enumerated in chunks of ``_CHUNK`` points, so memory is
+    O(chunk) plus the iterate of each chunk whose Kleene loop reaches only
+    the tolerance rather than an exact fixpoint.  The result equals that of
+    one loop over the whole grid stopped at the first iteration where every
+    point's step is within the tolerance: a chunk at an exact fixpoint stays
+    there, and the other chunks are stepped on to that common iteration.
     """
     n = len(program.symbols)
     total = grid.enumeration_size(program.kind, n)
@@ -209,27 +256,30 @@ def brute_force_stable(
         empty = Interpretation(program.kind, {})
         return [Cluster(empty, (empty,), 0.0)]
 
-    frozen = _grid_interpretations(program, grid)
-    zero = tuple(np.float64(0.0) for _ in range(1 if program.kind is LatticeKind.UNIT else 2))
-    cur: _Vec = {sym: zero for sym in program.symbols}
-    for _ in range(cfg.max_iterations):
-        nxt = _vec_tp(program, pos=cur, neg=frozen)
-        step = 0.0
-        for sym in program.symbols:
-            for a, b in zip(cur[sym], nxt[sym]):
-                step = max(step, float(np.max(np.abs(a - b))))
-        cur = nxt
-        if step <= cfg.tolerance:
-            break
-
-    dist = np.zeros(total)
-    for sym in program.symbols:
-        for c, f in zip(cur[sym], frozen[sym]):
-            dist = np.maximum(dist, np.abs(c - f))
-    mask = dist <= grid.step + 1e-12
-    indices = np.nonzero(mask)[0]
-    candidates = [_point_interpretation(program, frozen, i) for i in indices]
-    residuals = [float(dist[i]) for i in indices]
+    axes = _grid_axes(program.kind, grid.resolution)
+    zero = tuple(np.float64(0.0) for _ in axes)
+    candidates: list[Interpretation] = []
+    residuals: list[float] = []
+    pending: list[_Chunk] = []
+    stop = 0  # no chunk's step is within the tolerance before its own stop
+    for lo in range(0, total, _CHUNK):
+        chunk = _Chunk(lo, min(lo + _CHUNK, total), {sym: zero for sym in program.symbols})
+        frozen = chunk.frozen(program, axes)
+        chunk.advance(program, frozen, 0, cfg)
+        stop = max(stop, chunk.it)
+        if chunk.step == 0.0:  # an exact fixpoint: later steps move at most a zero's sign
+            chunk.harvest(program, frozen, grid, candidates, residuals)
+        else:
+            pending.append(chunk)
+    # step the pending chunks on to the first iteration >= stop at which all
+    # of them are within the tolerance, or to the budget
+    while any(chunk.behind(stop, cfg) for chunk in pending):
+        for chunk in pending:
+            if chunk.behind(stop, cfg):
+                chunk.advance(program, chunk.frozen(program, axes), stop, cfg)
+                stop = max(stop, chunk.it)
+    for chunk in pending:
+        chunk.harvest(program, chunk.frozen(program, axes), grid, candidates, residuals)
     return _cluster(candidates, residuals, radius=2.0 * grid.step + 1e-12)
 
 

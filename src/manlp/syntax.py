@@ -182,21 +182,23 @@ def _compile_body(kind: LatticeKind, body: BodyExpr, slot) -> tuple[list, Option
     leaf (it has no instructions) or None.  ``slot`` maps each atom, negated
     atom or constant node to its environment slot."""
     code: list = []
+    return code, _emit(kind, body, slot, code)
 
-    def emit(expr: BodyExpr) -> Optional[int]:
-        if isinstance(expr, (Prop, NegProp, Const)):
-            return slot(expr)
-        if isinstance(expr, Conn):
-            left = emit(expr.left)
-            code.append((kernel(kind, expr.op), left, emit(expr.right)))
-        elif isinstance(expr, Agg):
-            operands = tuple(emit(arg) for arg in expr.args)
-            code.append((AGGREGATE, kernel(kind, expr.name), operands))
-        else:
-            raise TypeError(f"not a body expression: {expr!r}")
-        return None
 
-    return code, emit(body)
+def _emit(kind: LatticeKind, expr: BodyExpr, slot, code: list) -> Optional[int]:
+    # a module-level function, not a closure that calls itself: such a
+    # closure is a reference cycle that every compiled body would leave behind
+    if isinstance(expr, (Prop, NegProp, Const)):
+        return slot(expr)
+    if isinstance(expr, Conn):
+        left = _emit(kind, expr.left, slot, code)
+        code.append((kernel(kind, expr.op), left, _emit(kind, expr.right, slot, code)))
+    elif isinstance(expr, Agg):
+        operands = tuple(_emit(kind, arg, slot, code) for arg in expr.args)
+        code.append((AGGREGATE, kernel(kind, expr.name), operands))
+    else:
+        raise TypeError(f"not a body expression: {expr!r}")
+    return None
 
 
 def compile_program(program: Program) -> CompiledProgram:
@@ -393,7 +395,10 @@ class _RuleParser:
         tok = self.expect("number", "a natural number")
         if not tok.text.isdigit():
             raise self.error(f"expected a natural number, found {tok.text!r}", tok)
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(f"natural number of {len(tok.text)} digits is too long", tok) from None
 
     def parse_body(self) -> BodyExpr:
         expr = self.parse_term()

@@ -235,6 +235,14 @@ class TestErrors:
             assert "parse error: 1:" in err
             assert "Traceback" not in err
 
+    def test_overlong_exponent_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "long.mnlp"
+        path.write_text(f"p <-ei({'1' * 5000},1,1,1) q ; [0.1,0.2]\n")
+        assert main(["cert", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "parse error: 1:" in err
+        assert "Traceback" not in err
+
     def test_interp_mismatch_exit_2(self, tmp_path):
         bad = write_json(tmp_path / "short.json", {"p": 0.5})
         assert main(["check-model", EX1, "--interp", bad]) == 2

@@ -1,6 +1,7 @@
 """The compiled float evaluator and its change-driven Kleene loop against a
 recursive fold over the lattice algebra's value-object operations."""
 
+import gc
 import random
 from functools import partial
 
@@ -15,6 +16,7 @@ from manlp import (
     Interpretation,
     LatticeKind,
     NegProp,
+    Program,
     Prop,
     agg_max,
     agg_mean,
@@ -36,7 +38,7 @@ from manlp import engine, lattice, syntax
 from manlp.lattice import STAR
 from manlp.syntax import walk
 from conftest import unit_interp
-from genprog import random_interpretation, random_program
+from genprog import random_interpretation, random_program, random_rule
 
 BODY_OPS = {"&G": godel_and, "&P": product_and, "&L": lukasiewicz_and, "*": partial(ei_product, STAR)}
 CONJUNCTORS = {"G": godel_and, "P": product_and, "L": lukasiewicz_and}
@@ -165,3 +167,17 @@ def test_chain_reevaluates_only_moved_readers(monkeypatch):
     assert trace.converged and len(trace.iterates) == k + 2
     assert trace.final == ref_tp(prog, trace.final, trace.final)
     assert len(runs) <= 3 * k
+
+
+@pytest.mark.parametrize("kind", [LatticeKind.UNIT, LatticeKind.INTERVAL])
+def test_compiling_leaves_no_garbage(kind):
+    rng = random.Random(45)
+    symbols = [f"s{i}" for i in range(40)]
+    prog = Program.of(kind, [random_rule(rng, kind, symbols) for _ in range(200)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert prog.compiled.rules
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,10 +19,13 @@ from manlp import (
     ei_residuum,
     is_model,
     least_fixpoint,
+    load_program,
     minimality_check,
+    oracle,
     solve_unique,
     sup_norm,
 )
+from manlp.engine import DEFAULT_CONFIG, FixpointConfig
 from conftest import unit_interp
 from genprog import random_certified_program, random_program
 
@@ -130,6 +134,58 @@ class TestBruteForceStable:
             for member in cluster.members:
                 trace = least_fixpoint(reduct(unit_two_stable, member))
                 assert sup_norm(trace.final, member) <= 0.1 + 1e-9
+
+
+class TestChunkedEnumeration:
+    # p's loop creeps towards 1 and never repeats exactly, so every chunk
+    # stops only at the tolerance
+    TOLERANCE_ONLY = "p <-P @mean(p, 1) ; 1\nq <-G not p ; 0.8\n"
+    # at tolerance 0.3, points with q = 1 step by .5, .5, .25, .375, .1875 and
+    # points with q = 0 reach a fixpoint at step 4: the first stop at step 3,
+    # but the whole grid stops at step 5
+    STEPS_RISE_AGAIN = "q <-G 1 ; 1\nx <-P @mean(x, 1) ; 1\nx <-G not q ; 1\nz <-G x ; 1\ny <-G x &L z ; 1\n"
+    # no positive cycle: every chunk reaches an exact fixpoint
+    EXACT = (
+        "p <-ei(1,1,1,1) not q ; [0.7,0.9]\n"
+        "q <-ei(2,1,3,2) not r * s ; [0.4,0.5]\n"
+        "r <-ei(1,1,1,1) p * not s ; [0.5,0.6]\n"
+        "s <-ei(1,1,1,1) not p ; [0.3,0.8]\n"
+    )
+
+    def test_chunk_size_does_not_change_clusters(
+        self, monkeypatch, unit_basic, unit_two_stable, interval_certified
+    ):
+        cfgs = (DEFAULT_CONFIG, FixpointConfig(max_iterations=2))
+        cases = [(prog, GridSpec(2), cfgs) for prog in (unit_basic, unit_two_stable, interval_certified)]
+        rng = random.Random(3)
+        cases += [(random_program(rng, max_symbols=3), GridSpec(2), cfgs) for _ in range(100)]
+        cases.append((load_program(self.TOLERANCE_ONLY), GridSpec(20), cfgs))
+        cases.append((load_program(self.STEPS_RISE_AGAIN), GridSpec(4), (FixpointConfig(tolerance=0.3),)))
+
+        def outcomes():
+            return [
+                [(c.representative, c.members, repr(c.residual)) for c in brute_force_stable(prog, grid, cfg)]
+                for prog, grid, cfgs in cases
+                for cfg in cfgs
+            ]
+
+        expected = outcomes()
+        for chunk in (1, 7):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            assert outcomes() == expected
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        prog = load_program(self.EXACT)
+        grid = GridSpec(6)
+        assert grid.enumeration_size(prog.kind, len(prog.symbols)) == 614_656
+        tracemalloc.start()
+        try:
+            clusters = brute_force_stable(prog, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clusters) == 1
+        assert peak <= 24 * 2**20
 
 
 class TestMinimality:

@@ -88,6 +88,10 @@ class TestParseErrors:
         self.assert_error("p <-ei(1,2,1,1) q ; [0.1,0.2]", INTERVAL, line=1, fragment="beta")
         self.assert_error("p <-ei(2,1,1,2) q ; [0.1,0.2]", INTERVAL, line=1, fragment="delta")
 
+    def test_overlong_natural_number(self):
+        # int() refuses more than 4300 digits; that is a parse error at the token
+        self.assert_error(f"p <-ei({'1' * 5000},1,1,1) q ; [0.1,0.2]", INTERVAL, line=1, col_min=8, fragment="too long")
+
     def test_unit_connective_in_interval_program(self):
         self.assert_error("p <-ei(1,1,1,1) q &G r ; [0.1,0.2]", INTERVAL, line=1, fragment="unit connective")
 
