@@ -10,6 +10,7 @@ Intended for desk-scale instances; the budget guard refuses anything bigger.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from dataclasses import dataclass
 
@@ -172,6 +173,28 @@ def _grid_axes(kind: LatticeKind, resolution: int) -> tuple[np.ndarray, ...]:
 _CHUNK = 1 << 14
 
 
+def _find_malloc_trim():
+    """The C library's ``malloc_trim``, or None where it has none (it is a
+    glibc function; musl, macOS and Windows lack it)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+#: Chunk buffers are below glibc's mmap threshold, so they come from the
+#: program break heap, and freed they stay mapped in the process.  Once any
+#: long-lived object lands above them the heap cannot shrink either, and
+#: whether one does depends on what else the process allocates.  Without a
+#: trim, a run of oracle calls leaves a heap whose free pages later large
+#: allocations anywhere in the process may or may not find already mapped,
+#: which makes their cost differ from one run to the next.
+_MALLOC_TRIM = _find_malloc_trim()
+
+
 def _point_interpretation(program: Program, frozen: _Vec, index: int) -> Interpretation:
     values: dict[str, TruthValue] = {}
     for sym in program.symbols:
@@ -248,6 +271,8 @@ def brute_force_stable(
     one loop over the whole grid stopped at the first iteration where every
     point's step is within the tolerance: a chunk at an exact fixpoint stays
     there, and the other chunks are stepped on to that common iteration.
+    Once the chunks are freed, their heap pages go back to the operating
+    system (see ``_MALLOC_TRIM``), so a call leaves the heap as it found it.
     """
     n = len(program.symbols)
     total = grid.enumeration_size(program.kind, n)
@@ -256,6 +281,16 @@ def brute_force_stable(
         empty = Interpretation(program.kind, {})
         return [Cluster(empty, (empty,), 0.0)]
 
+    candidates, residuals = _grid_candidates(program, grid, cfg, total)
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+    return _cluster(candidates, residuals, radius=2.0 * grid.step + 1e-12)
+
+
+def _grid_candidates(
+    program: Program, grid: GridSpec, cfg: FixpointConfig, total: int
+) -> tuple[list[Interpretation], list[float]]:
+    """The qualifying grid points and their distances, chunk by chunk."""
     axes = _grid_axes(program.kind, grid.resolution)
     zero = tuple(np.float64(0.0) for _ in axes)
     candidates: list[Interpretation] = []
@@ -280,7 +315,7 @@ def brute_force_stable(
                 stop = max(stop, chunk.it)
     for chunk in pending:
         chunk.harvest(program, chunk.frozen(program, axes), grid, candidates, residuals)
-    return _cluster(candidates, residuals, radius=2.0 * grid.step + 1e-12)
+    return candidates, residuals
 
 
 def _cluster(

@@ -187,6 +187,25 @@ class TestChunkedEnumeration:
         assert len(clusters) == 1
         assert peak <= 24 * 2**20
 
+    def test_heap_is_trimmed_once_the_chunks_are_freed(self, monkeypatch):
+        prog = load_program(self.TOLERANCE_ONLY)
+        grid = GridSpec(400)  # ten chunks, every one pending to the end
+        expected = brute_force_stable(prog, grid)
+        held_at_trim = []
+        monkeypatch.setattr(oracle, "_MALLOC_TRIM", lambda pad: held_at_trim.append(tracemalloc.get_traced_memory()))
+        tracemalloc.start()
+        try:
+            assert brute_force_stable(prog, grid) == expected
+        finally:
+            tracemalloc.stop()
+        [(current, peak)] = held_at_trim
+        assert current < peak / 8  # the pending iterates are gone by then
+
+    def test_missing_malloc_trim_is_skipped(self, monkeypatch, unit_two_stable):
+        expected = brute_force_stable(unit_two_stable, GridSpec(10))
+        monkeypatch.setattr(oracle, "_MALLOC_TRIM", None)
+        assert brute_force_stable(unit_two_stable, GridSpec(10)) == expected
+
 
 class TestMinimality:
     def test_known_stable_model_is_minimal(self, unit_two_stable, model_m):
