@@ -20,8 +20,9 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Union
+from functools import cached_property, lru_cache
+from itertools import islice
+from typing import Iterable, Optional, Sequence, Union
 
 from .lattice import (
     AGGREGATORS,
@@ -284,218 +285,206 @@ def _validate_rule(kind: LatticeKind, rule: Rule) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokenizer and parser.  One anchored match checks a line, one findall splits
+# it into token texts, and the parser walks those by index with an explicit
+# stack.  Token columns are computed for an error only.
 # ---------------------------------------------------------------------------
-
-class _Token(NamedTuple):
-    kind: str  # 'ident', 'number', or the literal symbol; 'end' at line end
-    text: str
-    line: int
-    col: int
-
 
 # ASCII only: any other character, a non-ASCII letter or digit included, is
-# an error.  A '&' that does not start a connective is matched by `bad`.
-_TOKEN_RE = re.compile(
-    r"[ \t\r]+|(?P<comment>#)"
-    r"|(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<symbol><-|" + "|".join(re.escape("&" + tag) for tag in UNIT_PAIRS) + r"|[*()\[\],;@])"
-    r"|(?P<bad>&?.)",
-    re.DOTALL,
+# an error.  Numbers come before identifiers, so "1e" is "1" then "e".
+_TOKEN = (
+    r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*"
+    r"|<-|" + "|".join(re.escape("&" + tag) for tag in UNIT_PAIRS) + r"|[*()\[\],;@]"
 )
+_TOKEN_RE = re.compile(_TOKEN)
+# the longest prefix of a line made of tokens separated by space, tab or CR
+# (no other separator); the line's end, a '#' comment or a bad character follows
+_LINE_RE = re.compile(r"(?:[ \t\r]*(?:" + _TOKEN + r"))*[ \t\r]*")
+_CONNECTIVE_KIND = {op: kind for kind, ops in BODY_OPS.items() for op in ops}
 
 
-def _tokenize_line(text: str, lineno: int) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, word, col = m.lastgroup, m.group(), m.start() + 1
-        if kind == "comment":
-            break
-        if kind == "bad":
-            if word[0] == "&":
-                raise ParseError(f"unknown connective '{word}'", lineno, col)
-            raise ParseError(f"unexpected character {word!r}", lineno, col)
-        if kind is not None:  # None: whitespace
-            tokens.append(_Token(word if kind == "symbol" else kind, word, lineno, col))
-    tokens.append(_Token("end", "", lineno, len(text) + 1))
-    return tokens
+class _Fail(Exception):
+    """A grammar error: its message and the index of the offending token."""
 
 
-# ---------------------------------------------------------------------------
-# Recursive-descent parser
-# ---------------------------------------------------------------------------
+def _expected(what: str, toks: Sequence[str], i: int, offset: int = 0) -> _Fail:
+    return _Fail(f"expected {what}, found {toks[i] or 'end of line'!r}", offset + i)
 
 
-class _RuleParser:
-    def __init__(self, tokens: list[_Token], kind: LatticeKind):
-        self.tokens = tokens
-        self.pos = 0
-        self.kind = kind
-        self.seen_atoms: set[str] = set()
+def _constant(toks: list[str], i: int, unit: bool) -> tuple[TruthValue, int]:
+    """The constant at token ``i`` and the index after it."""
+    t = toks[i]
+    if t[:1].isdigit():
+        if not unit:
+            raise _Fail("scalar constant in an interval program (use [lo,hi])", i)
+        value = float(t)
+        if value > 1.0:
+            raise _Fail(f"value {t} outside the unit lattice", i)
+        return Unit(value), i + 1
+    if t == "[":
+        if unit:
+            raise _Fail("interval constant in a unit program", i)
+        for j, want in enumerate((None, ",", None, "]"), i + 1):  # None: a decimal
+            if not (toks[j][:1].isdigit() if want is None else toks[j] == want):
+                raise _expected("a decimal" if want is None else f"'{want}'", toks, j)
+        lo, hi = float(toks[i + 1]), float(toks[i + 3])
+        if lo > hi or hi > 1.0:
+            raise _Fail(f"[{toks[i + 1]},{toks[i + 3]}] is not a subinterval of [0,1]", i)
+        return Interval(lo, hi), i + 5
+    raise _expected("a constant", toks, i)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or "end of line"
-            raise self.error(f"expected {what}, found {shown!r}")
-        return self.advance()
-
-    def atom_name(self) -> _Token:
-        tok = self.expect("ident", "an atom")
-        if tok.text in _RESERVED:
-            raise self.error(f"{tok.text!r} is a reserved word", tok)
-        return tok
-
-    def parse_rule(self) -> Rule:
-        head = self.atom_name()
-        self.expect("<-", "'<-'")
-        imp = self.parse_tag()
-        body = self.parse_body()
-        self.expect(";", "';' before the rule weight")
-        weight = self.parse_const()
-        end = self.peek()
-        if end.kind != "end":
-            raise self.error(f"unexpected trailing input {end.text!r}")
-        return Rule(head=head.text, imp=imp, body=body, weight=weight)
-
-    def parse_tag(self) -> ImpLabel:
-        tok = self.expect("ident", "an implication tag (G, P, L or ei(...))")
-        if tok.text in UNIT_PAIRS:
-            if self.kind is not LatticeKind.UNIT:
-                raise self.error(f"unit implication '{tok.text}' in an interval program", tok)
-            return tok.text
-        if tok.text == "ei":
-            if self.kind is not LatticeKind.INTERVAL:
-                raise self.error("interval implication 'ei' in a unit program", tok)
-            self.expect("(", "'(' after 'ei'")
-            nums = [self.parse_nat()]
-            for _ in range(3):
-                self.expect(",", "','")
-                nums.append(self.parse_nat())
-            self.expect(")", "')'")
-            try:
-                return EiParams(*nums)
-            except ValueError as exc:
-                raise self.error(str(exc), tok) from None
-        raise self.error(f"unknown implication tag {tok.text!r}", tok)
-
-    def parse_nat(self) -> int:
-        tok = self.expect("number", "a natural number")
-        if not tok.text.isdigit():
-            raise self.error(f"expected a natural number, found {tok.text!r}", tok)
+@lru_cache(maxsize=256)  # a program repeats few distinct ei tags
+def _ei_params(toks: tuple[str, ...]) -> EiParams:
+    """The exponents of an ei tag from its tokens after 'ei', which is token 2 of its rule."""
+    nums = []
+    for i in (0, 2, 4, 6):
+        if toks[i] != ("(" if i == 0 else ","):
+            raise _expected("'(' after 'ei'" if i == 0 else "','", toks, i, 3)
+        t = toks[i + 1]
+        if not t.isdigit():
+            raise _expected("a natural number", toks, i + 1, 3)
         try:
-            return int(tok.text)
+            nums.append(int(t))
         except ValueError:  # more digits than the interpreter converts
-            raise self.error(f"natural number of {len(tok.text)} digits is too long", tok) from None
+            raise _Fail(f"natural number of {len(t)} digits is too long", i + 4) from None
+    if toks[8] != ")":
+        raise _expected("')'", toks, 8, 3)
+    try:
+        return EiParams(*nums)
+    except ValueError as exc:
+        raise _Fail(str(exc), 2) from None
 
-    def parse_body(self) -> BodyExpr:
-        expr = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind in BODY_OPS[LatticeKind.UNIT] or tok.kind == "*":
-                self.advance()
-                if tok.kind in BODY_OPS[LatticeKind.UNIT] and self.kind is not LatticeKind.UNIT:
-                    raise self.error(f"unit connective '{tok.kind}' in an interval program", tok)
-                if tok.kind == "*" and self.kind is not LatticeKind.INTERVAL:
-                    raise self.error("interval connective '*' in a unit program", tok)
-                right = self.parse_term()
-                expr = Conn(op=tok.kind, left=expr, right=right)
-            else:
-                return expr
 
-    def parse_term(self) -> BodyExpr:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "not":
-            self.advance()
-            atom = self.atom_name()
-            self.note_atom(atom)
-            return NegProp(atom.text)
-        if tok.kind == "ident":
-            self.advance()
-            self.note_atom(tok)
-            return Prop(tok.text)
-        if tok.kind in ("number", "["):
-            return Const(self.parse_const())
-        if tok.kind == "(":
-            self.advance()
-            inner = self.parse_body()
-            self.expect(")", "')'")
-            return inner
-        if tok.kind == "@":
-            self.advance()
-            name = self.expect("ident", "an aggregator name")
-            if name.text not in AGGREGATORS:
-                raise self.error(f"unknown aggregator @{name.text}", name)
-            self.expect("(", "'(' after the aggregator name")
-            args = [self.parse_body()]
-            while self.peek().kind == ",":
-                self.advance()
-                args.append(self.parse_body())
-            self.expect(")", "')'")
-            return Agg(name=name.text, args=tuple(args))
-        shown = tok.text or "end of line"
-        raise self.error(f"expected a body term, found {shown!r}")
+def _parse_body(toks: list[str], i: int, kind: LatticeKind) -> tuple[BodyExpr, int]:
+    """The body at token ``i`` and the index after it.  ``left op`` is what the
+    innermost open level has read so far; each "(" or "@name(" pushes the
+    enclosing level's (left, op, aggregator name or None, arguments so far)."""
+    unit = kind is LatticeKind.UNIT
+    seen: set[str] = set()
+    stack: list = []
+    left = op = None
+    while True:  # a term starts at token i
+        t = toks[i]
+        if t == "(" or t == "@":
+            name = None
+            if t == "@":
+                name = toks[i + 1]
+                if not name.isidentifier():
+                    raise _expected("an aggregator name", toks, i + 1)
+                if name not in AGGREGATORS:
+                    raise _Fail(f"unknown aggregator @{name}", i + 1)
+                i += 2
+                if toks[i] != "(":
+                    raise _expected("'(' after the aggregator name", toks, i)
+            stack.append((left, op, name, []))
+            left = op = None
+            i += 1
+            continue
+        if t == "[" or t[:1].isdigit():
+            value, i = _constant(toks, i, unit)
+            term = Const(value)
+        else:
+            negated = t == "not"
+            i += negated
+            t = toks[i]
+            if not t.isidentifier():
+                raise _expected("an atom" if negated else "a body term", toks, i)
+            if t in _RESERVED:
+                raise _Fail(f"{t!r} is a reserved word", i)
+            if t in seen:
+                raise _Fail(f"atom {t!r} occurs twice in the body", i)
+            seen.add(t)
+            term = NegProp(t) if negated else Prop(t)
+            i += 1
+        while True:  # after a term: an operator, or the end of groups or of the body
+            left = term if op is None else Conn(op, left, term)
+            t = toks[i]
+            op_kind = _CONNECTIVE_KIND.get(t)
+            if op_kind is not None:
+                if op_kind is not kind:
+                    raise _Fail(f"{op_kind.value} connective '{t}' in {'a unit' if unit else 'an interval'} program", i)
+                op = t
+                i += 1
+                break
+            if not stack:
+                return left, i
+            outer, op, name, args = stack.pop()
+            if name is not None:
+                args.append(left)
+                if t == ",":
+                    stack.append((outer, op, name, args))
+                    left = op = None
+                    i += 1
+                    break
+            if t != ")":
+                raise _expected("')'", toks, i)
+            term = left if name is None else Agg(name, tuple(args))
+            left = outer
+            i += 1
 
-    def note_atom(self, tok: _Token) -> None:
-        if tok.text in self.seen_atoms:
-            raise self.error(f"atom {tok.text!r} occurs twice in the body", tok)
-        self.seen_atoms.add(tok.text)
 
-    def parse_const(self) -> TruthValue:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            if self.kind is not LatticeKind.UNIT:
-                raise self.error("scalar constant in an interval program (use [lo,hi])", tok)
-            value = float(tok.text)
-            if value > 1.0:
-                raise self.error(f"value {tok.text} outside the unit lattice", tok)
-            return Unit(value)
-        if tok.kind == "[":
-            self.advance()
-            if self.kind is not LatticeKind.INTERVAL:
-                raise self.error("interval constant in a unit program", tok)
-            lo_tok = self.expect("number", "a decimal")
-            self.expect(",", "','")
-            hi_tok = self.expect("number", "a decimal")
-            self.expect("]", "']'")
-            lo, hi = float(lo_tok.text), float(hi_tok.text)
-            if lo > hi or hi > 1.0:
-                raise self.error(f"[{lo_tok.text},{hi_tok.text}] is not a subinterval of [0,1]", tok)
-            return Interval(lo, hi)
-        shown = tok.text or "end of line"
-        raise self.error(f"expected a constant, found {shown!r}")
+def _parse_rule(toks: list[str], kind: LatticeKind) -> Rule:
+    """Parse a rule from its token texts, the last an empty string for the line's end."""
+    unit = kind is LatticeKind.UNIT
+    head = toks[0]
+    if not head.isidentifier():
+        raise _expected("an atom", toks, 0)
+    if head in _RESERVED:
+        raise _Fail(f"{head!r} is a reserved word", 0)
+    if toks[1] != "<-":
+        raise _expected("'<-'", toks, 1)
+    tag = toks[2]
+    if tag == "ei":
+        if unit:
+            raise _Fail("interval implication 'ei' in a unit program", 2)
+        imp, i = _ei_params(tuple(toks[3:12])), 12
+    elif tag in UNIT_PAIRS:
+        if not unit:
+            raise _Fail(f"unit implication '{tag}' in an interval program", 2)
+        imp, i = tag, 3
+    elif tag.isidentifier():
+        raise _Fail(f"unknown implication tag {tag!r}", 2)
+    else:
+        raise _expected("an implication tag (G, P, L or ei(...))", toks, 2)
+    body, i = _parse_body(toks, i, kind)
+    if toks[i] != ";":
+        raise _expected("';' before the rule weight", toks, i)
+    weight, i = _constant(toks, i + 1, unit)
+    if toks[i]:
+        raise _Fail(f"unexpected trailing input {toks[i]!r}", i)
+    return Rule(head, imp, body, weight)
 
 
 def parse_program(text: str, kind: LatticeKind) -> Program:
     """Parse a program over the given lattice; errors carry line and column."""
     rules = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(line, lineno)
-        if tokens[0].kind == "end":
+        end = _LINE_RE.match(line).end()
+        if end < len(line) and line[end] != "#":  # reported before any grammar error on the line
+            bad = line[end]
+            message = f"unknown connective '{line[end:end + 2]}'" if bad == "&" else f"unexpected character {bad!r}"
+            raise ParseError(message, lineno, end + 1)
+        toks = _TOKEN_RE.findall(line, 0, end)
+        if not toks:
             continue
-        rules.append(_RuleParser(tokens, kind).parse_rule())
+        toks.append("")
+        try:
+            rules.append(_parse_rule(toks, kind))
+        except _Fail as exc:
+            message, i = exc.args
+            # the i-th token's column, or the column after the line's end
+            col = len(line) + 1 if i == len(toks) - 1 else next(islice(_TOKEN_RE.finditer(line), i, None)).start() + 1
+            raise ParseError(message, lineno, col) from None
     return Program.of(kind, rules)
 
 
 def detect_kind(text: str) -> LatticeKind:
-    """Infer the lattice from the first implication tag; empty input is unit."""
-    m = re.search(r"<-\s*([A-Za-z_][A-Za-z0-9_]*)", text)
-    if m and m.group(1) == "ei":
-        return LatticeKind.INTERVAL
-    return LatticeKind.UNIT
+    """The lattice of the first rule's implication tag: interval for an ei
+    tag, else unit (also for a text without rules)."""
+    lines = (_TOKEN_RE.findall(line, 0, _LINE_RE.match(line).end()) for line in text.splitlines())
+    toks = next(filter(None, lines), [])
+    return LatticeKind.INTERVAL if toks[2:3] == ["ei"] else LatticeKind.UNIT
 
 
 def load_program(text: str) -> Program:

@@ -1,11 +1,13 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from manlp import engine, uniqueness
+from manlp import engine, interpretation_from_dict, is_model, load_program, render_program, uniqueness
 from manlp.cli import main
 from conftest import PROGRAMS
+from genprog import random_certified_program
 
 EX1 = str(PROGRAMS / "unit_basic.mnlp")
 EX3 = str(PROGRAMS / "unit_two_stable.mnlp")
@@ -46,6 +48,28 @@ class TestCheckModel:
         assert doc["verdict"] is True
         assert doc["command"] == "check-model"
         assert len(doc["rules"]) == 3
+
+    def test_solved_model_within_tolerance(self, capsys, tmp_path):
+        # the unique stable model that `cert --solve` prints is a fixpoint up
+        # to the iteration tolerance, which exact `is_model` can reject
+        path = tmp_path / "cert.mnlp"
+        path.write_text(render_program(random_certified_program(random.Random(1))))
+        report = tmp_path / "cert.json"
+        assert main(["cert", str(path), "--solve", "--json", str(report)]) == 0
+        solved = json.loads(report.read_text())["model"]
+        program = load_program(path.read_text())
+        assert not is_model(program, interpretation_from_dict(solved, program.kind, program.symbols))
+        capsys.readouterr()
+        out = tmp_path / "check.json"
+        assert main(["check-model", str(path), "--interp", write_json(tmp_path / "m.json", solved), "--json", str(out)]) == 1
+        assert "model: no (but tp(I) <= I + 1e-07: a model within tolerance)" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] is False and doc["within_tolerance"] is True
+        # far from a model: a bare "no" and no tolerance field
+        bottom = write_json(tmp_path / "bot.json", {s: [0, 0] for s in program.symbols})
+        assert main(["check-model", str(path), "--interp", bottom, "--json", str(out)]) == 1
+        assert capsys.readouterr().out.endswith("model: no\n")
+        assert "within_tolerance" not in json.loads(out.read_text())
 
 
 class TestTp:

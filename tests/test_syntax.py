@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -63,6 +64,12 @@ class TestParse:
         prog = parse_program("p <-G a &G b &P c ; 0.5", UNIT)
         body = prog.rules[0].body
         assert body == Conn("&P", Conn("&G", Prop("a"), Prop("b")), Prop("c"))
+
+    def test_deeply_nested_parentheses(self):
+        # open groups live on the parser's own stack, not on Python's
+        depth = 3000
+        prog = parse_program("p <-G " + "(" * depth + "q" + ")" * depth + " ; 0.5", UNIT)
+        assert prog.rules[0].body == Prop("q")
 
     def test_interval_program(self):
         prog = parse_program("p <-ei(1,1,1,1) q * not r ; [0.2,0.3]", INTERVAL)
@@ -137,6 +144,96 @@ class TestParseErrors:
         self.assert_error("p <-G q ; \u00b2", UNIT, line=1, fragment="1:11: unexpected character")
         self.assert_error("p <-G q ; \u0660.5", UNIT, line=1, fragment="1:11: unexpected character")
         self.assert_error("p <-G q ; 0.5\nr\u00e9 <-G q ; 0.5", UNIT, line=2, fragment="2:2: unexpected character")
+
+
+# Exact `str(ParseError)` of malformed programs, recorded with the
+# NamedTuple tokenizer and recursive-descent parser that the string parser
+# replaced: line, column and message must not change.
+_ERROR_TEXTS = [
+    ("p <-G q &X r ; 0.5", "1:9: unknown connective '&X'"),
+    ("p <-G q &", "1:9: unknown connective '&'"),
+    ("p <-G q &# c", "1:9: unknown connective '&#'"),
+    ("p <-G\xa0q ; 0.5", "1:6: unexpected character '\\xa0'"),
+    ("p <-G q ; 0.5\xa0", "1:14: unexpected character '\\xa0'"),
+    # a bad character is reported before a grammar error earlier on its line
+    ("p <-G q q ; 0.5 $", "1:17: unexpected character '$'"),
+    ("p <-G ) ; 0.5 \u00e9", "1:15: unexpected character '\u00e9'"),
+    # at the end of the line the column is its length + 1, comment included
+    ("p <-G q ; ", "1:11: expected a constant, found 'end of line'"),
+    ("p <-G q   # no weight", "1:22: expected ';' before the rule weight, found 'end of line'"),
+    ("p <-ei(1,1,1,1) q ; [0.5,0.6", "1:29: expected ']', found 'end of line'"),
+    (f"p <-ei({'1' * 5000},1,1,1) q ; [0.1,0.2]", "1:8: natural number of 5000 digits is too long"),
+    ("p <-ei(1.5,1,1,1) q ; [0.1,0.2]", "1:8: expected a natural number, found '1.5'"),
+    # an exponent constraint is reported at the tag
+    ("p <-ei(1,2,1,1) q ; [0.1,0.2]", "1:5: ei exponents require beta <= alpha, got beta=2, alpha=1"),
+    ("p <-ei(2,1,1,2) q ; [0.1,0.2]", "1:5: ei exponents require delta <= gamma, got delta=2, gamma=1"),
+    ("p <-ei(0,1,1,1) q ; [0.1,0.2]", "1:5: ei exponent alpha must be a natural number >= 1, got 0"),
+    ("p <-ei(1,1,1) q ; [0.1,0.2]", "1:13: expected ',', found ')'"),
+    ("p <-ei 1,1,1,1) q ; [0.1,0.2]", "1:8: expected '(' after 'ei', found '1'"),
+    ("p <-ei(1,1,1,1 q ; [0.1,0.2]", "1:16: expected ')', found 'q'"),
+    ("p <-G q &G not q ; 0.5", "1:16: atom 'q' occurs twice in the body"),
+    ("p <-G @max(q, not q) ; 0.5", "1:19: atom 'q' occurs twice in the body"),
+    ("not <-G q ; 0.5", "1:1: 'not' is a reserved word"),
+    ("p <-G not not ; 0.5", "1:11: 'not' is a reserved word"),
+    ("p <-G not (q &G r) ; 0.5", "1:11: expected an atom, found '('"),
+    ("p <-G q ; 0.5 0.7", "1:15: unexpected trailing input '0.7'"),
+    ("p <-G q ; 0.5 ;", "1:15: unexpected trailing input ';'"),
+    ("p <-G @median(q, r) ; 0.5", "1:8: unknown aggregator @median"),
+    ("p <-G @mean q ; 0.5", "1:13: expected '(' after the aggregator name, found 'q'"),
+    ("p <-G @mean(q r) ; 0.5", "1:15: expected ')', found 'r'"),
+    ("p <-G @(q) ; 0.5", "1:8: expected an aggregator name, found '('"),
+    ("p <-G (q &G r ; 0.5", "1:15: expected ')', found ';'"),
+    ("p <-G q ) ; 0.5", "1:9: expected ';' before the rule weight, found ')'"),
+    ("p <-G q &G ; 0.5", "1:12: expected a body term, found ';'"),
+    ("p <-X q ; 0.5", "1:5: unknown implication tag 'X'"),
+    ("p <- ; 0.5", "1:6: expected an implication tag (G, P, L or ei(...)), found ';'"),
+    ("p q ; 0.5", "1:3: expected '<-', found 'q'"),
+    ("1 <-G q ; 0.5", "1:1: expected an atom, found '1'"),
+    ("p <-ei(1,1,1,1) 0.5 ; [0.1,0.2]", "1:17: scalar constant in an interval program (use [lo,hi])"),
+    ("p <-ei(1,1,1,1) q ; 0.5", "1:21: scalar constant in an interval program (use [lo,hi])"),
+    ("p <-G [0.1,0.2] ; 0.5", "1:7: interval constant in a unit program"),
+    ("p <-G q ; [0.1,0.2]", "1:11: interval constant in a unit program"),
+    ("p <-G q ; 1.5", "1:11: value 1.5 outside the unit lattice"),
+    ("p <-G q ; 1e999", "1:11: value 1e999 outside the unit lattice"),
+    ("p <-G 2 ; 0.5", "1:7: value 2 outside the unit lattice"),
+    ("p <-ei(1,1,1,1) q ; [0.5,0.2]", "1:21: [0.5,0.2] is not a subinterval of [0,1]"),
+    ("p <-ei(1,1,1,1) q ; [0.5,1.5]", "1:21: [0.5,1.5] is not a subinterval of [0,1]"),
+    ("p <-ei(1,1,1,1) q ; [0.5 0.6]", "1:26: expected ',', found '0.6'"),
+    ("p <-ei(1,1,1,1) q ; [a,0.6]", "1:22: expected a decimal, found 'a'"),
+    ("p <-ei(1,1,1,1) q &G r ; [0.1,0.2]", "1:19: unit connective '&G' in an interval program"),
+    ("p <-G q * r ; 0.5", "1:9: interval connective '*' in a unit program"),
+    ("p <-ei(1,1,1,1) q ; [0.1,0.2]\nr <-G q ; 0.5", "2:5: unit implication 'G' in an interval program"),
+    ("p <-G q ; 0.5\nr <-ei(1,1,1,1) q ; 0.5", "2:5: interval implication 'ei' in a unit program"),
+    ("p <-G q ; 0.5\nr <-G & ; 0.2\n", "2:7: unknown connective '& '"),
+    ("p <-G q ; 0.5 # ok\n\tr <-G q x", "2:10: expected ';' before the rule weight, found 'x'"),
+]
+
+
+@pytest.mark.parametrize("text, expected", _ERROR_TEXTS, ids=range(len(_ERROR_TEXTS)))
+def test_exact_parse_error_text(text, expected):
+    with pytest.raises(ParseError) as exc:
+        load_program(text)
+    assert str(exc.value) == expected
+    assert (exc.value.line, exc.value.col) == tuple(map(int, expected.split(":")[:2]))
+
+
+def test_parsing_leaves_no_garbage():
+    # the parser keeps its open groups on an explicit stack and defines no
+    # closures, so parsing leaves nothing for the cyclic collector
+    lines = []
+    for i in range(200):
+        a, b, c, d, e = (f"s{(i + k) % 40}" for k in range(5))
+        agg = ("min", "max", "mean")[i % 3]
+        lines.append(f"{a} <-P ({b} &G not {c}) &L @{agg}({d}, (0.5 &P not {e})) ; 0.5")
+    text = "\n".join(lines) + "\n"
+    gc.collect()
+    gc.disable()
+    try:
+        prog = load_program(text)
+        assert len(prog.rules) == 200
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 _PIECES = [
@@ -220,6 +317,15 @@ class TestDetectKind:
 
     def test_empty_defaults_to_unit(self):
         assert detect_kind("# nothing\n") is UNIT
+
+    def test_tag_in_a_comment_is_ignored(self):
+        # the lattice is the first rule's, not that of a tag in a comment
+        unit = "# p <-ei(1,1,1,1) q ; [0.1,0.2]\np <-G q ; 0.5\n"
+        interval = "# p <-G q ; 0.5\n\np <-ei(1,1,1,1) q ; [0.1,0.2]  # <-G\n"
+        assert detect_kind(unit) is UNIT
+        assert detect_kind(interval) is INTERVAL
+        assert load_program(unit) == parse_program(unit, UNIT)
+        assert load_program(interval) == parse_program(interval, INTERVAL)
 
 
 class TestRender:
