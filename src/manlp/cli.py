@@ -32,15 +32,13 @@ from .engine import (
     stable_search,
     tp,
 )
-from .lattice import TruthValue, Unit
+from .lattice import TruthValue, Unit, leq
 from .oracle import BudgetExceededError, GridSpec, brute_force_stable
 from .semantics import (
     Interpretation,
     interpretation_from_dict,
     interpretation_to_dict,
-    is_model,
     rule_value,
-    satisfies,
     value_to_json,
 )
 from .syntax import ParseError, Program, load_program, render_program, render_rule
@@ -87,7 +85,10 @@ def _load_program(path: str) -> tuple[Program, str]:
 
 def _load_interp(path: str, program: Program) -> Interpretation:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"interpretation file {path} is nested too deeply to read") from None
     return interpretation_from_dict(data, program.kind, program.symbols)
 
 
@@ -124,12 +125,12 @@ def _cmd_check_model(args) -> int:
             "index": idx,
             "rule": render_rule(rule),
             "value": value_to_json(value),
-            "satisfied": satisfies(rule, interp),
+            "satisfied": leq(rule.weight, value),
         }
         rows.append(row)
         mark = "yes" if row["satisfied"] else "no"
         print(f"  r{idx}: {row['rule']}  =>  {_fmt_value(value)}  satisfied: {mark}")
-    verdict = is_model(program, interp)
+    verdict = all(row["satisfied"] for row in rows)
     within = not verdict and _within_tolerance(program, interp)
     note = f" (but tp(I) <= I + {_fmt(STABLE_CHECK_TOL)}: a model within tolerance)" if within else ""
     print(f"model: {'yes' if verdict else 'no'}{note}")

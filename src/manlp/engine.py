@@ -63,6 +63,9 @@ DEFAULT_CONFIG = FixpointConfig()
 #: Distance under which a candidate counts as a fixpoint of its own reduct.
 STABLE_CHECK_TOL = 1e-7
 
+#: Distance under which two stable models found by the search are one.
+SEARCH_DEDUP_TOL = 1e-6
+
 #: ``tp`` is the first step of the Kleene loop.
 _ONE_STEP = FixpointConfig(max_iterations=1)
 
@@ -328,17 +331,15 @@ def random_interpretation(
     return Interpretation(kind, values)
 
 
-def default_starts(
-    program: Program, seed: int = 0, n_random: int = 8
-) -> list[Interpretation]:
-    """Bottom, top and a seeded batch of random interpretations."""
+def default_starts(program: Program, seed: int = 0) -> list[Interpretation]:
+    """Bottom, top and 8 seeded random interpretations."""
     rng = random.Random(seed)
     starts = [
         Interpretation.bottom(program.kind, program.symbols),
         Interpretation.top(program.kind, program.symbols),
     ]
     starts += [
-        random_interpretation(program.kind, program.symbols, rng) for _ in range(n_random)
+        random_interpretation(program.kind, program.symbols, rng) for _ in range(8)
     ]
     return starts
 
@@ -366,9 +367,7 @@ def stable_search(
     cfg: FixpointConfig = DEFAULT_CONFIG,
     starts: Optional[Iterable[Interpretation]] = None,
     seed: int = 0,
-    check_tol: float = STABLE_CHECK_TOL,
     max_rounds: int = 1000,
-    dedup_tol: float = 1e-6,
 ) -> StableSearchResult:
     """Multi-start search for stable models.
 
@@ -414,10 +413,10 @@ def stable_search(
             nonconverged += 1
             continue
         converged, distance = _stability(program, limit, cfg)
-        if not (converged and distance <= check_tol):
+        if not (converged and distance <= STABLE_CHECK_TOL):
             rejected += 1
             continue
-        if any(_distance(kind, limit, seen) <= dedup_tol for seen in found_values):
+        if any(_distance(kind, limit, seen) <= SEARCH_DEDUP_TOL for seen in found_values):
             continue
         found_values.append(limit)
         trace = FixpointTrace(tuple(_interpretation(program, v) for v in history), True, residual)

@@ -5,9 +5,11 @@ and Łukasiewicz adjoint pairs, and the lattice C([0,1]) of closed
 subintervals of [0,1] ordered componentwise, with the family of exponential
 interval products (ei-products) and their residua.  Every operator here is a
 pure function on immutable values; values from different lattices never mix.
-Each connective, negation and aggregator is written once, as a float kernel
-on raw values (``Raw``); the operators on value objects wrap these kernels,
-and the compiled evaluator runs them directly (``kernel``).
+Each rule tag, connective, aggregator and negation is written once, as a
+float kernel on raw values (``Raw``) in the one label table ``KERNELS``; the
+residua of the unit tags are the only formulas without a kernel.  The
+operators on value objects are lifted from the kernels, and the compiled
+evaluator runs the kernels directly (``kernel``).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
-from typing import Callable, Iterable, Union
+from functools import cache, lru_cache, partial
+from typing import Callable, ClassVar, Iterable, Optional, Union
 
 
 class LatticeKind(Enum):
@@ -38,15 +40,12 @@ class Unit:
     """A scalar truth value in [0,1]."""
 
     value: float
+    kind: ClassVar[LatticeKind] = LatticeKind.UNIT
 
     def __post_init__(self) -> None:
         if not (isinstance(self.value, (int, float)) and 0.0 <= self.value <= 1.0):
             raise ValueError(f"unit truth value out of [0,1]: {self.value!r}")
         object.__setattr__(self, "value", float(self.value))
-
-    @property
-    def kind(self) -> LatticeKind:
-        return LatticeKind.UNIT
 
     def __repr__(self) -> str:
         return f"Unit({self.value!r})"
@@ -58,6 +57,7 @@ class Interval:
 
     lo: float
     hi: float
+    kind: ClassVar[LatticeKind] = LatticeKind.INTERVAL
 
     def __post_init__(self) -> None:
         ok = (
@@ -69,10 +69,6 @@ class Interval:
             raise ValueError(f"not a subinterval of [0,1]: [{self.lo!r}, {self.hi!r}]")
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-
-    @property
-    def kind(self) -> LatticeKind:
-        return LatticeKind.INTERVAL
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -103,21 +99,10 @@ def top(kind: LatticeKind) -> TruthValue:
     return Unit(1.0) if kind is LatticeKind.UNIT else Interval(1.0, 1.0)
 
 
-def _require_same_kind(a: TruthValue, b: TruthValue) -> None:
-    if type(a) is not type(b):
-        raise DomainMismatchError(f"mixed lattice kinds: {a!r} vs {b!r}")
-
-
-def _require_unit(*values: TruthValue) -> None:
+def _require(kind: LatticeKind, *values: TruthValue) -> None:
     for v in values:
-        if not isinstance(v, Unit):
-            raise DomainMismatchError(f"unit-lattice operator applied to {v!r}")
-
-
-def _require_interval(*values: TruthValue) -> None:
-    for v in values:
-        if not isinstance(v, Interval):
-            raise DomainMismatchError(f"interval operator applied to {v!r}")
+        if getattr(v, "kind", None) is not kind:
+            raise DomainMismatchError(f"{kind.value}-lattice operation applied to {v!r}")
 
 
 def leq(a: TruthValue, b: TruthValue) -> bool:
@@ -126,62 +111,40 @@ def leq(a: TruthValue, b: TruthValue) -> bool:
     Intervals are only partially ordered; incomparable pairs return False
     both ways.
     """
-    _require_same_kind(a, b)
+    _require(a.kind, b)
     if isinstance(a, Unit):
         return a.value <= b.value
     return a.lo <= b.lo and a.hi <= b.hi
 
 
 # ---------------------------------------------------------------------------
-# Unit-lattice adjoint pairs.  Implications take (consequent, antecedent),
+# Residua of the unit rule tags.  Implications take (consequent, antecedent),
 # matching the reading of z <- y.
 # ---------------------------------------------------------------------------
 
 
-def _lukasiewicz(x: float, y: float) -> float:
-    return max(0.0, x + y - 1.0)
-
-
-#: Float kernels of the unit conjunctors by rule tag: min(x, y), x * y and
-#: max(0, x + y - 1).  The body connective "&" + tag is the same conjunctor.
-UNIT_KERNELS: dict[str, Callable[[float, float], float]] = {
-    "G": min,
-    "P": operator.mul,
-    "L": _lukasiewicz,
-}
-
-
-def godel_and(x: TruthValue, y: TruthValue) -> Unit:
-    _require_unit(x, y)
-    return Unit(UNIT_KERNELS["G"](x.value, y.value))
-
-
-def product_and(x: TruthValue, y: TruthValue) -> Unit:
-    _require_unit(x, y)
-    return Unit(UNIT_KERNELS["P"](x.value, y.value))
-
-
-def lukasiewicz_and(x: TruthValue, y: TruthValue) -> Unit:
-    _require_unit(x, y)
-    return Unit(UNIT_KERNELS["L"](x.value, y.value))
-
-
 def godel_imp(z: TruthValue, y: TruthValue) -> Unit:
-    _require_unit(z, y)
+    _require(LatticeKind.UNIT, z, y)
     return Unit(1.0) if y.value <= z.value else Unit(z.value)
 
 
 def product_imp(z: TruthValue, y: TruthValue) -> Unit:
     # y == 0 leaves every x feasible, so the residuum is the top element.
-    _require_unit(z, y)
+    _require(LatticeKind.UNIT, z, y)
     if y.value == 0.0:
         return Unit(1.0)
     return Unit(min(1.0, z.value / y.value))
 
 
 def lukasiewicz_imp(z: TruthValue, y: TruthValue) -> Unit:
-    _require_unit(z, y)
+    _require(LatticeKind.UNIT, z, y)
     return Unit(min(1.0, 1.0 - y.value + z.value))
+
+
+BinaryOp = Callable[[TruthValue, TruthValue], TruthValue]
+
+#: The unit rule tags, each with the residuum of its adjoint pair.
+UNIT_RESIDUA: dict[str, BinaryOp] = {"G": godel_imp, "P": product_imp, "L": lukasiewicz_imp}
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +180,8 @@ class EiParams:
         return f"EiParams({self.alpha}, {self.beta}, {self.gamma}, {self.delta})"
 
 
+ImpLabel = Union[str, EiParams]
+
 #: Componentwise interval product, the `*` body connective.
 STAR = EiParams(1, 1, 1, 1)
 
@@ -227,7 +192,7 @@ def _ei(p: EiParams, x: tuple[float, float], y: tuple[float, float]) -> tuple[fl
 
 def ei_product(p: EiParams, x: TruthValue, y: TruthValue) -> Interval:
     """[a,b] & [c,d] = [a^alpha * c^gamma, b^beta * d^delta]."""
-    _require_interval(x, y)
+    _require(LatticeKind.INTERVAL, x, y)
     return Interval(*_ei(p, (x.lo, x.hi), (y.lo, y.hi)))
 
 
@@ -239,7 +204,7 @@ def ei_residuum(p: EiParams, z: TruthValue, y: TruthValue) -> Interval:
     lower endpoint is additionally capped by the upper one so the result
     stays a valid interval.
     """
-    _require_interval(z, y)
+    _require(LatticeKind.INTERVAL, z, y)
     ylo_pow = y.lo**p.gamma
     yhi_pow = y.hi**p.delta
     u = 1.0 if ylo_pow == 0.0 else min(1.0, (z.lo / ylo_pow) ** (1.0 / p.alpha))
@@ -247,35 +212,15 @@ def ei_residuum(p: EiParams, z: TruthValue, y: TruthValue) -> Interval:
     return Interval(min(u, v), v)
 
 
-def _negate_unit(x: float) -> float:
-    return 1.0 - x
-
-
-def _negate_interval(x: tuple[float, float]) -> tuple[float, float]:
-    return (1.0 - x[1], 1.0 - x[0])
-
-
-def negate(x: TruthValue) -> TruthValue:
-    """Standard negation: 1-x on [0,1], endpoint flip on intervals."""
-    return from_raw(x.kind, kernel(x.kind, "not")(to_raw(x)))
-
-
-def sup_value(values: Iterable[TruthValue], kind: LatticeKind) -> TruthValue:
-    """Componentwise supremum; the empty supremum is the bottom element."""
-    values = list(values)
-    if not values:
-        return bottom(kind)
-    if kind is LatticeKind.UNIT:
-        _require_unit(*values)
-    else:
-        _require_interval(*values)
-    return from_raw(kind, kernel(kind, "max")([to_raw(v) for v in values]))
-
-
 # ---------------------------------------------------------------------------
-# Built-in aggregators: componentwise, monotone and continuous.  Their
-# kernels take the list of argument values.
+# The label table.  Every rule tag (its conjunctor), body connective,
+# aggregator and "not" is one float kernel on raw values; aggregators take
+# the list of argument values and act componentwise on intervals.
 # ---------------------------------------------------------------------------
+
+
+def _lukasiewicz(x: float, y: float) -> float:
+    return max(0.0, x + y - 1.0)
 
 
 def _mean(xs: list[float]) -> float:
@@ -287,60 +232,24 @@ def _endpoints(aggregate: Callable) -> Callable:
     return lambda xs: tuple(map(aggregate, zip(*xs)))
 
 
-def _aggregate(name: str, values: tuple[TruthValue, ...]) -> TruthValue:
-    if not values:
-        raise ValueError("aggregator needs at least one argument")
-    for v in values[1:]:
-        _require_same_kind(values[0], v)
-    kind = values[0].kind
-    return from_raw(kind, kernel(kind, name)([to_raw(v) for v in values]))
+def _negate_unit(x: float) -> float:
+    return 1.0 - x
 
 
-def agg_min(*values: TruthValue) -> TruthValue:
-    return _aggregate("min", values)
+def _negate_interval(x: tuple[float, float]) -> tuple[float, float]:
+    return (1.0 - x[1], 1.0 - x[0])
 
 
-def agg_max(*values: TruthValue) -> TruthValue:
-    return _aggregate("max", values)
-
-
-def agg_mean(*values: TruthValue) -> TruthValue:
-    return _aggregate("mean", values)
-
-
-# ---------------------------------------------------------------------------
-# Label tables.  A rule tag names one adjoint pair, a body label one
-# connective and an aggregator name one aggregator; negation is ``negate`` in
-# both lattices.  ``KERNELS`` holds the float kernels the evaluator runs, the
-# other tables the value-object operations that wrap them.
-# ---------------------------------------------------------------------------
-
-BinaryOp = Callable[[TruthValue, TruthValue], TruthValue]
-
-ImpLabel = Union[str, EiParams]
-
-#: (conjunctor, implication) by unit rule tag.
-UNIT_PAIRS: dict[str, tuple[BinaryOp, BinaryOp]] = {
-    "G": (godel_and, godel_imp),
-    "P": (product_and, product_imp),
-    "L": (lukasiewicz_and, lukasiewicz_imp),
-}
-
-#: Body connectives by label, per lattice.
-BODY_OPS: dict[LatticeKind, dict[str, BinaryOp]] = {
-    LatticeKind.UNIT: {"&G": godel_and, "&P": product_and, "&L": lukasiewicz_and},
-    LatticeKind.INTERVAL: {"*": partial(ei_product, STAR)},
-}
-
-#: Aggregators by name, shared by both lattices.
-AGGREGATORS: dict[str, Callable[..., TruthValue]] = {"min": agg_min, "max": agg_max, "mean": agg_mean}
-
-#: Float kernels by label, per lattice: body connectives, unit rule tags
-#: (their conjunctors), aggregators and "not".
+#: Float kernels by label, per lattice.  A unit rule tag and its body
+#: connective "&" + tag share one conjunctor.
 KERNELS: dict[LatticeKind, dict[str, Callable]] = {
     LatticeKind.UNIT: {
-        **UNIT_KERNELS,
-        **{"&" + tag: k for tag, k in UNIT_KERNELS.items()},
+        "G": min,
+        "&G": min,
+        "P": operator.mul,
+        "&P": operator.mul,
+        "L": _lukasiewicz,
+        "&L": _lukasiewicz,
         "min": min,
         "max": max,
         "mean": _mean,
@@ -355,35 +264,81 @@ KERNELS: dict[LatticeKind, dict[str, Callable]] = {
     },
 }
 
+#: The labels that are body connectives, per lattice, and aggregators, in
+#: both.  The rule tags are the keys of ``UNIT_RESIDUA`` and the ei tags.
+CONNECTIVES: dict[LatticeKind, tuple[str, ...]] = {LatticeKind.UNIT: ("&G", "&P", "&L"), LatticeKind.INTERVAL: ("*",)}
+AGGREGATORS: tuple[str, ...] = ("min", "max", "mean")
 
-@cache
+
+@cache  # one operator per label, which ``adjoint_pair`` hands out; only table labels reach it
+def _lift(label: str, kind: Optional[LatticeKind] = None) -> Callable[..., TruthValue]:
+    """The operation on value objects that runs a kernel: the conjunctor
+    ``label`` of ``kind``, or, without a kind, the aggregator ``label`` over
+    the lattice of its first argument."""
+    if kind is not None:
+        f = KERNELS[kind][label]
+
+        def conjunctor(x: TruthValue, y: TruthValue) -> TruthValue:
+            _require(kind, x, y)
+            return from_raw(kind, f(to_raw(x), to_raw(y)))
+
+        return conjunctor
+
+    def aggregator(*values: TruthValue) -> TruthValue:
+        if not values:
+            raise ValueError("aggregator needs at least one argument")
+        k = values[0].kind
+        _require(k, *values)
+        return from_raw(k, KERNELS[k][label]([to_raw(v) for v in values]))
+
+    return aggregator
+
+
+godel_and = _lift("G", LatticeKind.UNIT)
+product_and = _lift("P", LatticeKind.UNIT)
+lukasiewicz_and = _lift("L", LatticeKind.UNIT)
+agg_min, agg_max, agg_mean = _lift("min"), _lift("max"), _lift("mean")
+
+
+def negate(x: TruthValue) -> TruthValue:
+    """Standard negation: 1-x on [0,1], endpoint flip on intervals."""
+    return from_raw(x.kind, kernel(x.kind, "not")(to_raw(x)))
+
+
+def sup_value(values: Iterable[TruthValue], kind: LatticeKind) -> TruthValue:
+    """Componentwise supremum; the empty supremum is the bottom element."""
+    values = list(values)
+    if not values:
+        return bottom(kind)
+    _require(kind, *values)
+    return from_raw(kind, kernel(kind, "max")([to_raw(v) for v in values]))
+
+
+# ---------------------------------------------------------------------------
+# Resolvers.  Both are keyed by ei tags read from input, so their caches are
+# bounded.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
 def adjoint_pair(kind: LatticeKind, label: ImpLabel) -> tuple[BinaryOp, BinaryOp]:
-    """The (conjunctor, implication) pair a rule tag names in ``kind``; each
-    distinct ei tag builds its pair once."""
+    """The (conjunctor, implication) pair a rule tag names in ``kind``."""
     if isinstance(label, EiParams):
         if kind is not LatticeKind.INTERVAL:
             raise UnknownOperatorError(f"ei implication {label!r} needs the interval lattice")
         return partial(ei_product, label), partial(ei_residuum, label)
-    if kind is LatticeKind.UNIT and label in UNIT_PAIRS:
-        return UNIT_PAIRS[label]
+    if kind is LatticeKind.UNIT and label in UNIT_RESIDUA:
+        return _lift(label, kind), UNIT_RESIDUA[label]
     raise UnknownOperatorError(f"no adjoint pair labelled {label!r} in the {kind.value} lattice")
 
 
-@cache
+@lru_cache(maxsize=256)
 def kernel(kind: LatticeKind, label: ImpLabel) -> Callable:
     """The float kernel a label names in ``kind``: a body connective, an
-    aggregator, "not", or a rule tag (its conjunctor); each distinct ei tag
-    builds its kernel once."""
+    aggregator, "not", or a rule tag (its conjunctor)."""
     if isinstance(label, EiParams) and kind is LatticeKind.INTERVAL:
         return partial(_ei, label)
     try:
         return KERNELS[kind][label]
     except KeyError:
         raise UnknownOperatorError(f"no operator labelled {label!r} in the {kind.value} lattice") from None
-
-
-def body_op(kind: LatticeKind, op: str) -> BinaryOp:
-    try:
-        return BODY_OPS[kind][op]
-    except KeyError:
-        raise UnknownOperatorError(f"no body connective {op!r} in the {kind.value} lattice") from None

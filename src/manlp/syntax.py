@@ -26,8 +26,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .lattice import (
     AGGREGATORS,
-    BODY_OPS,
-    UNIT_PAIRS,
+    CONNECTIVES,
+    UNIT_RESIDUA,
     EiParams,
     ImpLabel,
     Interval,
@@ -37,7 +37,6 @@ from .lattice import (
     Unit,
     UnknownOperatorError,
     adjoint_pair,
-    body_op,
     kernel,
     to_raw,
 )
@@ -275,7 +274,8 @@ def _validate_rule(kind: LatticeKind, rule: Rule) -> set[str]:
         elif isinstance(node, Const) and node.value.kind is not kind:
             raise ValueError(f"constant {node.value!r} does not belong to the {kind.value} lattice")
         elif isinstance(node, Conn):
-            body_op(kind, node.op)
+            if node.op not in CONNECTIVES[kind]:
+                raise UnknownOperatorError(f"no body connective {node.op!r} in the {kind.value} lattice")
         elif isinstance(node, Agg):
             if node.name not in AGGREGATORS:
                 raise UnknownOperatorError(f"unknown aggregator @{node.name}")
@@ -290,17 +290,17 @@ def _validate_rule(kind: LatticeKind, rule: Rule) -> set[str]:
 # stack.  Token columns are computed for an error only.
 # ---------------------------------------------------------------------------
 
+_CONNECTIVE_KIND = {op: kind for kind, ops in CONNECTIVES.items() for op in ops}
 # ASCII only: any other character, a non-ASCII letter or digit included, is
 # an error.  Numbers come before identifiers, so "1e" is "1" then "e".
 _TOKEN = (
     r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*"
-    r"|<-|" + "|".join(re.escape("&" + tag) for tag in UNIT_PAIRS) + r"|[*()\[\],;@]"
+    r"|<-|" + "|".join(map(re.escape, _CONNECTIVE_KIND)) + r"|[()\[\],;@]"
 )
 _TOKEN_RE = re.compile(_TOKEN)
 # the longest prefix of a line made of tokens separated by space, tab or CR
 # (no other separator); the line's end, a '#' comment or a bad character follows
 _LINE_RE = re.compile(r"(?:[ \t\r]*(?:" + _TOKEN + r"))*[ \t\r]*")
-_CONNECTIVE_KIND = {op: kind for kind, ops in BODY_OPS.items() for op in ops}
 
 
 class _Fail(Exception):
@@ -439,7 +439,7 @@ def _parse_rule(toks: list[str], kind: LatticeKind) -> Rule:
         if unit:
             raise _Fail("interval implication 'ei' in a unit program", 2)
         imp, i = _ei_params(tuple(toks[3:12])), 12
-    elif tag in UNIT_PAIRS:
+    elif tag in UNIT_RESIDUA:
         if not unit:
             raise _Fail(f"unit implication '{tag}' in an interval program", 2)
         imp, i = tag, 3

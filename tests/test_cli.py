@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from manlp import engine, interpretation_from_dict, is_model, load_program, render_program, uniqueness
+from manlp import engine, interpretation_from_dict, is_model, load_program, render_program, semantics, uniqueness
 from manlp.cli import main
 from conftest import PROGRAMS
 from genprog import random_certified_program
@@ -70,6 +70,18 @@ class TestCheckModel:
         assert main(["check-model", str(path), "--interp", bottom, "--json", str(out)]) == 1
         assert capsys.readouterr().out.endswith("model: no\n")
         assert "within_tolerance" not in json.loads(out.read_text())
+
+    def test_evaluates_each_rule_once(self, monkeypatch, interp_ex1):
+        calls = []
+        evaluate = semantics.evaluate
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(semantics, "evaluate", counting)
+        assert main(["check-model", EX1, "--interp", interp_ex1]) == 0
+        assert len(calls) == len(load_program(Path(EX1).read_text()).rules)
 
 
 class TestTp:
@@ -279,3 +291,13 @@ class TestErrors:
         assert main(command + [path]) == 2
         err = capsys.readouterr().err
         assert "must be a JSON object" in err
+
+    @pytest.mark.parametrize("command", [["check-model", EX1, "--interp"], ["stable", EX1, "--check"]])
+    def test_deeply_nested_interp_exit_2(self, tmp_path, capsys, command):
+        # json.load raises RecursionError, which is not about a rule body
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(command + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: interpretation file {path} is nested too deeply to read" in err
+        assert "rule body" not in err and "Traceback" not in err

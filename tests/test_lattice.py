@@ -30,7 +30,7 @@ from manlp import (
     sup_value,
     top,
 )
-from manlp.lattice import adjoint_pair, body_op
+from manlp.lattice import STAR, adjoint_pair, kernel
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False).map(Unit)
 
@@ -276,6 +276,16 @@ class TestAdjointness:
         assert pair[0](x, y) == ei_product(p, x, y)
         assert pair[1](x, y) == ei_residuum(p, x, y)
 
+    def test_resolver_caches_are_bounded(self):
+        # both resolvers are keyed by ei tags read from input
+        tags = [EiParams(a, 1, g, 1) for a in range(1, 16) for g in range(1, 21)]
+        for tag in tags:
+            adjoint_pair(LatticeKind.INTERVAL, tag)
+            kernel(LatticeKind.INTERVAL, tag)
+        assert len(tags) == 300
+        assert adjoint_pair.cache_info().currsize <= 256
+        assert kernel.cache_info().currsize <= 256
+
 
 class TestBoundaryAndMonotonicity:
     @given(units)
@@ -286,7 +296,7 @@ class TestBoundaryAndMonotonicity:
 
     @given(intervals)
     def test_star_top_neutral(self, v):
-        star = body_op(LatticeKind.INTERVAL, "*")
+        star = adjoint_pair(LatticeKind.INTERVAL, STAR)[0]
         t = top(LatticeKind.INTERVAL)
         assert star(t, v) == v and star(v, t) == v
 
