@@ -188,8 +188,7 @@ def _cmd_stable(args) -> int:
 
     if args.check:
         # check_stable without its trace, which nothing here prints
-        converged, distance = _stability(program, _values(program, _load_interp(args.check, program)), cfg)
-        stable = converged and distance <= STABLE_CHECK_TOL
+        stable, converged, distance = _stability(program, _values(program, _load_interp(args.check, program)), cfg, STABLE_CHECK_TOL)
         doc["verdict"] = stable
         doc["distance"] = distance
         doc["lfp_converged"] = converged
@@ -347,9 +346,6 @@ def main(argv=None) -> int:
         return 2
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: a rule body is nested too deeply to process", file=sys.stderr)
         return 2
     finally:
         elapsed = (time.perf_counter() - started) * 1000.0

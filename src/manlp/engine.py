@@ -38,7 +38,7 @@ from typing import Container, Iterable, Optional, Sequence
 from .lattice import LatticeKind, Raw, TruthValue, Interval, Unit, bottom, from_raw, kernel, negate, to_raw
 from .semantics import Interpretation, SymbolMismatchError, interpretation_to_dict
 from .semantics import _check_same_symbols, _checked, _negated, _run
-from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program
+from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program, _fold
 
 
 class NonPositiveProgramError(ValueError):
@@ -101,16 +101,7 @@ def _distance(kind: LatticeKind, a: list[Raw], b: list[Raw]) -> float:
 def sup_norm(i: Interpretation, j: Interpretation) -> float:
     """Largest componentwise gap; interval endpoints count separately."""
     _check_same_symbols(i, j)
-    worst = 0.0
-    for sym in i:
-        a, b = i[sym], j[sym]
-        if isinstance(a, Unit):
-            gap = abs(a.value - b.value)
-        else:
-            gap = max(abs(a.lo - b.lo), abs(a.hi - b.hi))
-        if gap > worst:
-            worst = gap
-    return worst
+    return _distance(i.kind, [to_raw(i[s]) for s in i], [to_raw(j[s]) for s in i])
 
 
 def _values(program: Program, interp: Interpretation) -> list[Raw]:
@@ -230,14 +221,11 @@ def reduct(program: Program, interp: Interpretation) -> Program:
     """Positive program obtained by replacing each negated atom with the
     constant value of its negation under ``interp``.  Heads, labels, weights,
     rule order and the symbol set are preserved."""
-    def freeze(expr: BodyExpr) -> BodyExpr:
-        if isinstance(expr, NegProp):
-            return Const(negate(interp[expr.name]))
-        if isinstance(expr, Conn):
-            return Conn(expr.op, freeze(expr.left), freeze(expr.right))
-        if isinstance(expr, Agg):
-            return Agg(expr.name, tuple(freeze(a) for a in expr.args))
-        return expr
+    def leaf(node: BodyExpr) -> BodyExpr:
+        return Const(negate(interp[node.name])) if isinstance(node, NegProp) else node
+
+    def freeze(body: BodyExpr) -> BodyExpr:
+        return _fold(body, leaf, lambda node, x, y: Conn(node.op, x, y), lambda node, args: Agg(node.name, tuple(args)))
 
     new_rules = [replace(rule, body=freeze(rule.body)) for rule in program.rules]
     return Program.of(program.kind, new_rules, extra_symbols=program.symbols)
@@ -300,11 +288,14 @@ def check_stable(
     )
 
 
-def _stability(program: Program, values: list[Raw], cfg: FixpointConfig) -> tuple[bool, float]:
-    """Whether lfp(P_I) converged, and its distance from I, for I given by
-    its raw values; ``check_stable`` without the trace."""
+def _stability(
+    program: Program, values: list[Raw], cfg: FixpointConfig, check_tol: float
+) -> tuple[bool, bool, float]:
+    """``check_stable``'s verdict, whether lfp(P_I) converged and its distance
+    from I, for I given by its raw values, keeping no trace."""
     final, converged, _ = _kleene(program, cfg, _bottom(program), values)
-    return converged, _distance(program.kind, final, values)
+    distance = _distance(program.kind, final, values)
+    return converged and distance <= check_tol, converged, distance
 
 
 def is_stable(
@@ -314,8 +305,7 @@ def is_stable(
     check_tol: float = STABLE_CHECK_TOL,
 ) -> bool:
     """``check_stable(...).stable``, keeping no trace."""
-    converged, distance = _stability(program, _values(program, interp), cfg)
-    return converged and distance <= check_tol
+    return _stability(program, _values(program, interp), cfg, check_tol)[0]
 
 
 def random_interpretation(
@@ -412,8 +402,7 @@ def stable_search(
         if limit is None:
             nonconverged += 1
             continue
-        converged, distance = _stability(program, limit, cfg)
-        if not (converged and distance <= STABLE_CHECK_TOL):
+        if not _stability(program, limit, cfg, STABLE_CHECK_TOL)[0]:
             rejected += 1
             continue
         if any(_distance(kind, limit, seen) <= SEARCH_DEDUP_TOL for seen in found_values):

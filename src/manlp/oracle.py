@@ -13,12 +13,13 @@ from __future__ import annotations
 import ctypes
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .lattice import EiParams, Interval, LatticeKind, TruthValue, Unit
 from .semantics import Interpretation, is_model
-from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program, Prop
+from .syntax import Agg, BodyExpr, Conn, NegProp, Program, Prop, _fold
 from .engine import DEFAULT_CONFIG, FixpointConfig, _canonical_key, sup_norm
 
 
@@ -74,50 +75,41 @@ _Vec = dict[str, tuple]
 
 
 def _veval(expr: BodyExpr, kind: LatticeKind, pos: _Vec, neg: _Vec) -> tuple:
-    if isinstance(expr, Prop):
-        return pos[expr.name]
-    if isinstance(expr, NegProp):
-        if kind is LatticeKind.UNIT:
-            return (1.0 - neg[expr.name][0],)
-        lo, hi = neg[expr.name]
-        return (1.0 - hi, 1.0 - lo)
-    if isinstance(expr, Const):
-        v = expr.value
+    def leaf(node: BodyExpr) -> tuple:
+        if isinstance(node, Prop):
+            return pos[node.name]
+        if isinstance(node, NegProp):
+            if kind is LatticeKind.UNIT:
+                return (1.0 - neg[node.name][0],)
+            lo, hi = neg[node.name]
+            return (1.0 - hi, 1.0 - lo)
+        v = node.value
         if isinstance(v, Unit):
             return (np.float64(v.value),)
         return (np.float64(v.lo), np.float64(v.hi))
-    if isinstance(expr, Conn):
-        a = _veval(expr.left, kind, pos, neg)
-        b = _veval(expr.right, kind, pos, neg)
-        if expr.op == "&G":
-            return (np.minimum(a[0], b[0]),)
-        if expr.op == "&P":
-            return (a[0] * b[0],)
-        if expr.op == "&L":
-            return (np.maximum(a[0] + b[0] - 1.0, 0.0),)
-        if expr.op == "*":
-            return (a[0] * b[0], a[1] * b[1])
-        raise ValueError(f"unknown connective {expr.op!r}")
-    if isinstance(expr, Agg):
-        args = [_veval(arg, kind, pos, neg) for arg in expr.args]
-        out = []
-        for c in range(len(args[0])):
-            comps = [a[c] for a in args]
-            if expr.name == "min":
-                acc = comps[0]
-                for x in comps[1:]:
-                    acc = np.minimum(acc, x)
-            elif expr.name == "max":
-                acc = comps[0]
-                for x in comps[1:]:
-                    acc = np.maximum(acc, x)
-            elif expr.name == "mean":
-                acc = sum(comps) / len(comps)
-            else:
-                raise ValueError(f"unknown aggregator @{expr.name}")
-            out.append(acc)
-        return tuple(out)
-    raise TypeError(f"not a body expression: {expr!r}")
+
+    return _fold(expr, leaf, _vconn, _vagg)
+
+
+def _vconn(node: Conn, a: tuple, b: tuple) -> tuple:
+    if node.op == "&G":
+        return (np.minimum(a[0], b[0]),)
+    if node.op == "&P":
+        return (a[0] * b[0],)
+    if node.op == "&L":
+        return (np.maximum(a[0] + b[0] - 1.0, 0.0),)
+    if node.op == "*":
+        return (a[0] * b[0], a[1] * b[1])
+    raise ValueError(f"unknown connective {node.op!r}")
+
+
+def _vagg(node: Agg, args: list) -> tuple:
+    comps = list(zip(*args))  # the arguments' values, one tuple per component
+    if node.name == "mean":
+        return tuple(sum(c) / len(c) for c in comps)
+    if node.name in ("min", "max"):
+        return tuple(reduce(np.minimum if node.name == "min" else np.maximum, c) for c in comps)
+    raise ValueError(f"unknown aggregator @{node.name}")
 
 
 def _vec_conj(imp, weight: TruthValue, body: tuple) -> tuple:

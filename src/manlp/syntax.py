@@ -182,23 +182,14 @@ def _compile_body(kind: LatticeKind, body: BodyExpr, slot) -> tuple[list, Option
     leaf (it has no instructions) or None.  ``slot`` maps each atom, negated
     atom or constant node to its environment slot."""
     code: list = []
-    return code, _emit(kind, body, slot, code)
 
+    def conn(node: Conn, left: Optional[int], right: Optional[int]) -> None:
+        code.append((kernel(kind, node.op), left, right))
 
-def _emit(kind: LatticeKind, expr: BodyExpr, slot, code: list) -> Optional[int]:
-    # a module-level function, not a closure that calls itself: such a
-    # closure is a reference cycle that every compiled body would leave behind
-    if isinstance(expr, (Prop, NegProp, Const)):
-        return slot(expr)
-    if isinstance(expr, Conn):
-        left = _emit(kind, expr.left, slot, code)
-        code.append((kernel(kind, expr.op), left, _emit(kind, expr.right, slot, code)))
-    elif isinstance(expr, Agg):
-        operands = tuple(_emit(kind, arg, slot, code) for arg in expr.args)
-        code.append((AGGREGATE, kernel(kind, expr.name), operands))
-    else:
-        raise TypeError(f"not a body expression: {expr!r}")
-    return None
+    def agg(node: Agg, args: list) -> None:
+        code.append((AGGREGATE, kernel(kind, node.name), tuple(args)))
+
+    return code, _fold(body, slot, conn, agg)
 
 
 def compile_program(program: Program) -> CompiledProgram:
@@ -238,25 +229,46 @@ def compile_program(program: Program) -> CompiledProgram:
 
 
 def walk(expr: BodyExpr):
-    """Yield every node of a body expression, preorder."""
-    yield expr
-    if isinstance(expr, Conn):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, Agg):
-        for arg in expr.args:
-            yield from walk(arg)
+    """Yield every node of a body expression, postorder: a node's operands
+    before the node, leaves left to right.  It keeps its own stack, so a body
+    of any depth walks."""
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
+        if node is None:  # marks that the operands of the node under it are done
+            yield stack.pop()
+        elif isinstance(node, Conn):
+            stack += (node, None, node.right, node.left)
+        elif isinstance(node, Agg):
+            stack += (node, None)
+            stack += reversed(node.args)
+        else:
+            yield node
+
+
+def _fold(expr: BodyExpr, leaf, conn, agg):
+    """Combine a body bottom-up, without recursion: ``leaf(node)`` for an
+    atom, negated atom or constant, ``conn(node, left, right)`` and
+    ``agg(node, args)`` from the results of a node's operands."""
+    if isinstance(expr, (Prop, NegProp, Const)):  # most bodies are one leaf
+        return leaf(expr)
+    out: list = []
+    for node in walk(expr):
+        if isinstance(node, (Prop, NegProp, Const)):
+            out.append(leaf(node))
+        elif isinstance(node, Conn):
+            out[-2:] = [conn(node, out[-2], out[-1])]
+        elif isinstance(node, Agg):
+            n = len(out) - len(node.args)
+            out[n:] = [agg(node, out[n:])]
+        else:
+            raise TypeError(f"not a body expression: {node!r}")
+    return out[0]
 
 
 def body_atoms(expr: BodyExpr) -> list[tuple[str, bool]]:
     """All (atom, negated) occurrences in a body, in source order."""
-    out = []
-    for node in walk(expr):
-        if isinstance(node, Prop):
-            out.append((node.name, False))
-        elif isinstance(node, NegProp):
-            out.append((node.name, True))
-    return out
+    return [(node.name, isinstance(node, NegProp)) for node in walk(expr) if isinstance(node, (Prop, NegProp))]
 
 
 def _validate_rule(kind: LatticeKind, rule: Rule) -> set[str]:
@@ -356,10 +368,11 @@ def _ei_params(toks: tuple[str, ...]) -> EiParams:
         raise _Fail(str(exc), 2) from None
 
 
-def _parse_body(toks: list[str], i: int, kind: LatticeKind) -> tuple[BodyExpr, int]:
-    """The body at token ``i`` and the index after it.  ``left op`` is what the
-    innermost open level has read so far; each "(" or "@name(" pushes the
-    enclosing level's (left, op, aggregator name or None, arguments so far)."""
+def _parse_body(toks: list[str], i: int, kind: LatticeKind) -> tuple[BodyExpr, int, set[str]]:
+    """The body at token ``i``, the index after it and the body's atoms.
+    ``left op`` is what the innermost open level has read so far; each "(" or
+    "@name(" pushes the enclosing level's (left, op, aggregator name or None,
+    arguments so far)."""
     unit = kind is LatticeKind.UNIT
     seen: set[str] = set()
     stack: list = []
@@ -408,7 +421,7 @@ def _parse_body(toks: list[str], i: int, kind: LatticeKind) -> tuple[BodyExpr, i
                 i += 1
                 break
             if not stack:
-                return left, i
+                return left, i, seen
             outer, op, name, args = stack.pop()
             if name is not None:
                 args.append(left)
@@ -424,8 +437,9 @@ def _parse_body(toks: list[str], i: int, kind: LatticeKind) -> tuple[BodyExpr, i
             i += 1
 
 
-def _parse_rule(toks: list[str], kind: LatticeKind) -> Rule:
-    """Parse a rule from its token texts, the last an empty string for the line's end."""
+def _parse_rule(toks: list[str], kind: LatticeKind, names: set[str]) -> Rule:
+    """Parse a rule from its token texts, the last an empty string for the
+    line's end; add its head and body atoms to ``names``."""
     unit = kind is LatticeKind.UNIT
     head = toks[0]
     if not head.isidentifier():
@@ -447,18 +461,23 @@ def _parse_rule(toks: list[str], kind: LatticeKind) -> Rule:
         raise _Fail(f"unknown implication tag {tag!r}", 2)
     else:
         raise _expected("an implication tag (G, P, L or ei(...))", toks, 2)
-    body, i = _parse_body(toks, i, kind)
+    body, i, atoms = _parse_body(toks, i, kind)
     if toks[i] != ";":
         raise _expected("';' before the rule weight", toks, i)
     weight, i = _constant(toks, i + 1, unit)
     if toks[i]:
         raise _Fail(f"unexpected trailing input {toks[i]!r}", i)
+    names |= atoms
+    names.add(head)
     return Rule(head, imp, body, weight)
 
 
 def parse_program(text: str, kind: LatticeKind) -> Program:
-    """Parse a program over the given lattice; errors carry line and column."""
+    """Parse a program over the given lattice; errors carry line and column.
+    The parser checks everything ``Program.of`` would, so it builds the
+    program itself."""
     rules = []
+    names: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         end = _LINE_RE.match(line).end()
         if end < len(line) and line[end] != "#":  # reported before any grammar error on the line
@@ -470,13 +489,13 @@ def parse_program(text: str, kind: LatticeKind) -> Program:
             continue
         toks.append("")
         try:
-            rules.append(_parse_rule(toks, kind))
+            rules.append(_parse_rule(toks, kind, names))
         except _Fail as exc:
             message, i = exc.args
             # the i-th token's column, or the column after the line's end
             col = len(line) + 1 if i == len(toks) - 1 else next(islice(_TOKEN_RE.finditer(line), i, None)).start() + 1
             raise ParseError(message, lineno, col) from None
-    return Program.of(kind, rules)
+    return Program(kind, tuple(rules), tuple(sorted(names)))
 
 
 def detect_kind(text: str) -> LatticeKind:
@@ -508,21 +527,21 @@ def render_imp(label: ImpLabel) -> str:
     return label
 
 
-def render_body(expr: BodyExpr) -> str:
-    if isinstance(expr, Prop):
-        return expr.name
-    if isinstance(expr, NegProp):
-        return f"not {expr.name}"
-    if isinstance(expr, Const):
-        return render_value(expr.value)
-    if isinstance(expr, Agg):
-        return f"@{expr.name}(" + ", ".join(render_body(a) for a in expr.args) + ")"
+def _render_leaf(node: Union[Prop, NegProp, Const]) -> str:
+    if isinstance(node, Prop):
+        return node.name
+    if isinstance(node, NegProp):
+        return f"not {node.name}"
+    return render_value(node.value)
+
+
+def _render_conn(node: Conn, left: str, right: str) -> str:
     # connectives are left-associative: only a right-nested chain needs parens
-    left = render_body(expr.left)
-    right = render_body(expr.right)
-    if isinstance(expr.right, Conn):
-        right = f"({right})"
-    return f"{left} {expr.op} {right}"
+    return f"{left} {node.op} ({right})" if isinstance(node.right, Conn) else f"{left} {node.op} {right}"
+
+
+def render_body(expr: BodyExpr) -> str:
+    return _fold(expr, _render_leaf, _render_conn, lambda node, args: f"@{node.name}(" + ", ".join(args) + ")")
 
 
 def render_rule(rule: Rule) -> str:

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,41 @@ class TestCert:
         assert "did not converge" in err
 
 
+# deeper than Python's recursion limit: every body walk keeps its own stack
+DEPTH = sys.getrecursionlimit() + 500
+_ATOMS = [f"a{i}" for i in range(DEPTH)]
+
+
+def _nested_min(depth: int) -> str:
+    body = "not h"
+    for _ in range(depth):
+        body = f"@min({body}, 0.5)"
+    return body
+
+
+# (command, program text, interpretation or None); each must exit 0
+_DEEP_CASES = {
+    "tp-and-chain": (["tp"], f"h <-P {' &P '.join(_ATOMS)} ; 0.5\n", dict.fromkeys(_ATOMS + ["h"], 0.5)),
+    "stable-nested-min": (["stable"], f"h <-G {_nested_min(DEPTH)} ; 0.5\n", None),
+    "brute-constant-chain": (["stable", "--brute", "4"], f"h <-P {'1 &P ' * DEPTH}not h ; 1\n", None),
+    "cert-star-chain": (["cert", "--solve"], f"h <-ei(1,1,1,1) {' * '.join(_ATOMS)} ; [0.5,0.5]\n", None),
+    "reduct": (["reduct"], f"h <-P {' &P '.join('not ' + a for a in _ATOMS)} ; 0.5\n", dict.fromkeys(_ATOMS + ["h"], 0.25)),
+}
+
+
+class TestDeepBodies:
+    @pytest.mark.parametrize("case", list(_DEEP_CASES))
+    def test_deep_body_exit_0(self, tmp_path, capsys, case):
+        command, text, interp = _DEEP_CASES[case]
+        path = tmp_path / "deep.mnlp"
+        path.write_text(text)
+        argv = [command[0], str(path), *command[1:]]
+        if interp is not None:
+            argv += ["--interp", write_json(tmp_path / "I.json", interp)]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestErrors:
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mnlp"
@@ -246,15 +282,6 @@ class TestErrors:
 
     def test_usage_error_exit_2(self):
         assert main(["no-such-command"]) == 2
-
-    def test_deep_body_exit_2(self, tmp_path, capsys):
-        deep = tmp_path / "deep.mnlp"
-        body = " &P ".join(f"a{i}" for i in range(1500))
-        deep.write_text(f"h <-P {body} ; 0.5\n")
-        assert main(["tp", str(deep), "--interp", "unused.json"]) == 2
-        err = capsys.readouterr().err
-        assert "nested too deeply" in err
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "text",

@@ -1,5 +1,8 @@
+import ast
 import gc
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -281,8 +284,6 @@ class TestProgramConstruction:
         entries = []
 
         def counting(expr):
-            # walk recurses through the module global: count only the calls
-            # that start at a rule's body
             entries.extend(r.head for r in rules if r.body is expr)
             return walk(expr)
 
@@ -361,3 +362,56 @@ class TestRender:
         prog = Program.of(UNIT, [Rule("p", "G", body, Unit(0.5))])
         back = parse_program(render_program(prog), UNIT)
         assert back.rules[0].body == body
+
+
+class TestDeepBodies:
+    DEPTH = sys.getrecursionlimit() + 500
+
+    def _right_nested(self) -> str:
+        body = f"a{self.DEPTH - 1}"
+        for i in reversed(range(self.DEPTH - 1)):
+            body = f"a{i} &G {body}" if i == self.DEPTH - 2 else f"a{i} &G ({body})"
+        return body
+
+    def _nested_aggregators(self) -> str:
+        body = "a0"
+        for i in range(1, self.DEPTH):
+            body = f"@{('min', 'max', 'mean')[i % 3]}({body}, not a{i})"
+        return body
+
+    def test_roundtrip_text(self):
+        # compared as text: dataclass == on trees this deep still recurses
+        left = " &P ".join(f"a{i}" for i in range(self.DEPTH))
+        for body in (left, self._right_nested(), self._nested_aggregators()):
+            text = f"h <-G {body} ; 0.5\n"
+            assert render_program(load_program(text)) == text
+
+    def test_no_function_calls_itself(self):
+        # methods are skipped: a bare name in a method never refers to itself
+        for path in sorted(Path(syntax.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            methods = {fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn not in methods:
+                    calls = {c.func.id for c in ast.walk(fn) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+                    assert fn.name not in calls, f"{path.name}: {fn.name} calls itself"
+
+
+def test_parse_program_builds_the_program_itself(monkeypatch):
+    texts = [(PROGRAMS / name).read_text() for name in ("unit_basic.mnlp", "unit_two_stable.mnlp", "interval_certified.mnlp")]
+    rng = random.Random(43)
+    texts += [render_program(random_program(rng)) for _ in range(300)]
+    expected = []
+    for text in texts:
+        kind = detect_kind(text)
+        rules = parse_program(text, kind).rules
+        expected.append((kind, Program.of(kind, rules)))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("parse_program called Program.of")
+
+    monkeypatch.setattr(Program, "of", fail)
+    for text, (kind, validated) in zip(texts, expected):
+        parsed = parse_program(text, kind)
+        assert parsed.rules == validated.rules
+        assert parsed.symbols == validated.symbols
