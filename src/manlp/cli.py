@@ -94,9 +94,9 @@ def _load_interp(path: str, program: Program) -> Interpretation:
 
 def _write_json(args, doc: dict) -> None:
     if getattr(args, "json", None):
+        text = json.dumps(doc, indent=2, sort_keys=True)  # one write, not one per token
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 def _config(args) -> FixpointConfig:
@@ -259,8 +259,13 @@ def _cmd_cert(args) -> int:
             f"  r{rc.index}: {shown.ljust(width)}  {_fmt(rc.lambda1).ljust(11)}  "
             f"{_fmt(rc.lambda2).ljust(11)}  {'yes' if rc.passes else 'no'}"
         )
-    print(f"verdict: {'unique stable model guaranteed' if report.verdict else 'not certified'}")
-    print(f"global Lipschitz bound: {_fmt(report.global_lipschitz)}")
+    if not report.verdict:
+        print("verdict: not certified")
+    elif report.proven_contraction:
+        print("verdict: unique stable model guaranteed")
+    else:
+        print("verdict: certified by the paper's lambda2 bound; uniqueness rests on that bound only")
+    print(f"global Lipschitz bound (max of lambda1, lambda2): {_fmt(report.global_lipschitz)}")
     doc["eligible"] = True
     doc["certificate"] = {
         "rules": [
@@ -270,18 +275,19 @@ def _cmd_cert(args) -> int:
         "head_bounds": {hb.symbol: value_to_json(hb.bound) for hb in report.head_bounds},
         "verdict": report.verdict,
         "global_lipschitz": report.global_lipschitz,
+        "proven_contraction": report.proven_contraction,
     }
     if args.solve and report.verdict:
         try:
-            model, trace = _solve_certified(program, _config(args))  # certified above
+            model, stats = _solve_certified(program, _config(args))  # certified above
         except UncertifiedProgramError as exc:
             print(f"error: {exc}", file=sys.stderr)
             _write_json(args, doc)
             return 3
-        print(f"unique stable model (after {trace.effective_steps()} effective iterations):")
+        print(f"unique stable model (after {stats.effective_steps} effective iterations):")
         print(_interp_rows(model))
         doc["model"] = interpretation_to_dict(model)
-        doc["trace"] = _trace_doc(trace)
+        doc["trace"] = stats._asdict()
     _write_json(args, doc)
     return 0 if report.verdict else 1
 

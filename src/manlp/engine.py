@@ -15,8 +15,9 @@ builds P_I, for ``manlp reduct``.
 The operator runs on raw values (``lattice.Raw``), one per symbol in
 ``Program.symbols`` order, through the program's compiled rules
 (``Program.compiled``); interpretations are built only where a result is
-returned.  ``iterate_tp`` keeps every iterate; ``is_stable`` and the search
-keep only the last one.
+returned.  ``iterate_tp`` keeps every iterate; ``is_stable``, the search and
+the certified solve keep only the last one, with a ``FixpointStats`` record
+of the run.
 
 Kleene iteration is change-driven (semi-naive): after the first step, which
 evaluates every rule, a step evaluates only the rules that read a symbol
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from math import copysign
 from operator import sub
-from typing import Container, Iterable, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .lattice import LatticeKind, Raw, TruthValue, Interval, Unit, bottom, from_raw, kernel, negate, to_raw
 from .semantics import Interpretation, SymbolMismatchError, interpretation_to_dict
@@ -89,6 +90,16 @@ class FixpointTrace:
             for a, b in zip(self.iterates, self.iterates[1:])
             if sup_norm(a, b) > 0.0
         )
+
+
+class FixpointStats(NamedTuple):
+    """How a Kleene iteration ended and what it cost."""
+
+    converged: bool  # the last step was within the tolerance
+    residual: float  # sup-norm size of the last step
+    steps: int  # applications of the consequence operator
+    effective_steps: int  # steps of nonzero size (``FixpointTrace.effective_steps``)
+    rule_evaluations: int  # rule bodies evaluated over all steps
 
 
 def _distance(kind: LatticeKind, a: list[Raw], b: list[Raw]) -> float:
@@ -147,11 +158,11 @@ def _kleene(
     cur: list[Raw],
     neg: Optional[list[Raw]],
     iterates: Optional[list[Interpretation]] = None,
-) -> tuple[list[Raw], bool, float]:
+) -> tuple[list[Raw], FixpointStats]:
     """Kleene iteration on raw values from ``cur``; negated atoms read
     ``neg``, or the current iterate when it is None.  Appends each new
-    iterate to ``iterates`` when given.  Returns the last iterate, whether
-    the step dropped to the tolerance, and the last step.
+    iterate to ``iterates`` when given.  Returns the last iterate and the
+    run's statistics.
 
     Each step applies the consequence operator: per symbol, the supremum of
     its rules' contributions, bottom if it heads none.  The first step
@@ -169,9 +180,10 @@ def _kleene(
     env = cur + _tail(program, cur if neg is None else neg)
     values: list[Raw] = [bot] * len(rules)  # each rule's last contribution
     heads: Iterable[int] = range(n)
-    dirty: Container[int] = range(len(rules))
+    dirty: Collection[int] = range(len(rules))
     moved: list[int] = []
     residual = float("inf")
+    effective = evaluations = 0
     for step in range(cfg.max_iterations):
         if step:
             dirty = set()
@@ -181,6 +193,7 @@ def _kleene(
                     env[n + h] = _negated(kind, env[h])
                     dirty.update(readers[reader_offsets[n + h] : reader_offsets[n + h + 1]])
             heads = sorted({head_of[r] for r in dirty})
+        evaluations += len(dirty)
         moved, old, new = [], [], []
         for h in heads:
             lo, hi = offsets[h], offsets[h + 1]
@@ -199,13 +212,14 @@ def _kleene(
                 old.append(env[h])
                 new.append(value)
         residual = _distance(kind, new, old)
+        effective += residual > 0.0
         for h, value in zip(moved, new):
             env[h] = value
         if iterates is not None:
             iterates.append(_interpretation(program, env[:n]))
         if residual <= cfg.tolerance:
-            return env[:n], True, residual
-    return env[:n], False, residual
+            return env[:n], FixpointStats(True, residual, step + 1, effective, evaluations)
+    return env[:n], FixpointStats(False, residual, cfg.max_iterations, effective, evaluations)
 
 
 def tp(
@@ -220,15 +234,21 @@ def tp(
 def reduct(program: Program, interp: Interpretation) -> Program:
     """Positive program obtained by replacing each negated atom with the
     constant value of its negation under ``interp``.  Heads, labels, weights,
-    rule order and the symbol set are preserved."""
+    rule order and the symbol set are preserved.  The program is not
+    validated again: the constants belong to its lattice, and nothing else
+    changes."""
+    if interp.kind is not program.kind:
+        raise SymbolMismatchError(
+            f"a {interp.kind.value} interpretation cannot freeze the negations of a {program.kind.value} program"
+        )
+
     def leaf(node: BodyExpr) -> BodyExpr:
         return Const(negate(interp[node.name])) if isinstance(node, NegProp) else node
 
     def freeze(body: BodyExpr) -> BodyExpr:
         return _fold(body, leaf, lambda node, x, y: Conn(node.op, x, y), lambda node, args: Agg(node.name, tuple(args)))
 
-    new_rules = [replace(rule, body=freeze(rule.body)) for rule in program.rules]
-    return Program.of(program.kind, new_rules, extra_symbols=program.symbols)
+    return Program(program.kind, tuple(replace(rule, body=freeze(rule.body)) for rule in program.rules), program.symbols)
 
 
 def iterate_tp(
@@ -244,8 +264,8 @@ def iterate_tp(
     start = start if start is not None else Interpretation.bottom(program.kind, program.symbols)
     iterates = [start]
     neg_values = None if neg is None else _values(program, neg)
-    _, converged, residual = _kleene(program, cfg, _values(program, start), neg_values, iterates)
-    return FixpointTrace(tuple(iterates), converged, residual)
+    _, stats = _kleene(program, cfg, _values(program, start), neg_values, iterates)
+    return FixpointTrace(tuple(iterates), stats.converged, stats.residual)
 
 
 def least_fixpoint(program: Program, cfg: FixpointConfig = DEFAULT_CONFIG) -> FixpointTrace:
@@ -293,9 +313,9 @@ def _stability(
 ) -> tuple[bool, bool, float]:
     """``check_stable``'s verdict, whether lfp(P_I) converged and its distance
     from I, for I given by its raw values, keeping no trace."""
-    final, converged, _ = _kleene(program, cfg, _bottom(program), values)
+    final, stats = _kleene(program, cfg, _bottom(program), values)
     distance = _distance(program.kind, final, values)
-    return converged and distance <= check_tol, converged, distance
+    return stats.converged and distance <= check_tol, stats.converged, distance
 
 
 def is_stable(
@@ -381,8 +401,8 @@ def stable_search(
         limit: Optional[list[Raw]] = None
         residual = float("inf")
         for _ in range(max_rounds):
-            nxt, converged, _ = _kleene(program, cfg, _bottom(program), cur)
-            if not converged:
+            nxt, stats = _kleene(program, cfg, _bottom(program), cur)
+            if not stats.converged:
                 break  # lfp(P_cur) ran out of budget: the start does not converge
             residual = _distance(kind, nxt, cur)
             if residual <= cfg.tolerance:

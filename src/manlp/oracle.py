@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .lattice import EiParams, Interval, LatticeKind, TruthValue, Unit
+from .lattice import EiParams, Interval, LatticeKind, TruthValue, Unit, to_raw
 from .semantics import Interpretation, is_model
 from .syntax import Agg, BodyExpr, Conn, NegProp, Program, Prop, _fold
 from .engine import DEFAULT_CONFIG, FixpointConfig, _canonical_key, sup_norm
@@ -313,30 +314,40 @@ def _grid_candidates(
 def _cluster(
     candidates: list[Interpretation], residuals: list[float], radius: float
 ) -> list[Cluster]:
+    """Single-linkage clusters: the components of the graph joining two
+    candidates whose sup-norm distance is at most ``radius``.  Candidates
+    are sorted on their first coordinate, and each is compared only with
+    those within ``radius`` of it there, a superset of its neighbours."""
     n = len(candidates)
     if n == 0:
         return []
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if sup_norm(candidates[a], candidates[b]) <= radius:
-                union(a, b)
+    symbols = sorted(candidates[0].symbols)
+    rows = [[to_raw(c[s]) for s in symbols] or [0.0] for c in candidates]  # no symbols: all at one point
+    order = sorted(range(n), key=lambda i: rows[i][0])  # an interval sorts on its lower end first
+    points = np.array([rows[i] for i in order], dtype=float).reshape(n, -1)
+    first = points[:, 0].tolist()
+    reach = radius + 1e-9  # widened past rounding: the window only has to hold every neighbour
+    lo_at = [bisect_left(first, x - reach) for x in first]
+    hi_at = [bisect_right(first, x + reach) for x in first]
+    component = [-1] * n  # by sorted position; -1 until reached
+    for root in range(n):
+        if component[root] >= 0:
+            continue
+        component[root] = root
+        stack = [root]
+        while stack:  # each candidate is pushed once, when first reached
+            i = stack.pop()
+            lo = lo_at[i]
+            near = (np.abs(points[lo : hi_at[i]] - points[i]).max(axis=1) <= radius).tolist()
+            for j, close in enumerate(near, lo):
+                if close and component[j] < 0:
+                    component[j] = root
+                    stack.append(j)
+    component_of = dict(zip(order, component))
 
     groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(component_of[i], []).append(i)
 
     clusters = []
     for members in groups.values():

@@ -5,9 +5,12 @@ products of atoms and negated atoms (connective ``*`` only, any ei
 implications at the rule level), the consequence operator restricted below
 the head-weight bound interpretation admits per-rule Lipschitz bounds
 computed from the ei exponents and the componentwise maxima of the rule
-weights.  When every rule's upper bound stays strictly below 1 the operator
-is a contraction there, so the program has exactly one stable model and
-plain iteration from the bottom interpretation finds it.
+weights: lambda1 for the lower endpoints, lambda2 for the upper ones.  The
+verdict is the paper's test, every rule's lambda2 strictly below 1.  The
+operator is proven a contraction there, hence has exactly one stable model
+that plain iteration from the bottom interpretation finds, only when the
+sound bound, the largest of all lambda1 and lambda2, is below 1 as well;
+with gamma > delta a rule's lambda1 can exceed its lambda2.
 """
 
 from __future__ import annotations
@@ -19,10 +22,14 @@ from typing import Mapping, Optional
 
 from .engine import (
     DEFAULT_CONFIG,
+    STABLE_CHECK_TOL,
     FixpointConfig,
+    FixpointStats,
     FixpointTrace,
-    is_stable,
-    iterate_tp,
+    _bottom,
+    _interpretation,
+    _kleene,
+    _stability,
     sup_norm,
     tp,
 )
@@ -65,8 +72,13 @@ class RuleCertificate:
 class CertificateReport:
     per_rule: tuple[RuleCertificate, ...]
     head_bounds: tuple[HeadBound, ...]
-    verdict: bool
-    global_lipschitz: float
+    verdict: bool  # the paper's test: every rule's lambda2 < 1
+    global_lipschitz: float  # the sound bound: max over rules of max(lambda1, lambda2)
+
+    @property
+    def proven_contraction(self) -> bool:
+        """Whether the sound bound proves the operator a contraction."""
+        return self.global_lipschitz < 1.0
 
 
 def star_decompose(body: BodyExpr) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -164,8 +176,10 @@ def rule_lambdas(rule: Rule, bounds: Mapping[str, Interval]) -> tuple[float, flo
 
 
 def certify(program: Program) -> CertificateReport:
-    """Contraction certificate: verdict True guarantees exactly one stable
-    model.  Raises IneligibleProgramError outside the certificate's scope."""
+    """Contraction certificate: the verdict is the paper's lambda2 test,
+    ``global_lipschitz`` the sound bound, which proves exactly one stable
+    model when below 1.  Raises IneligibleProgramError outside the
+    certificate's scope."""
     violations = eligibility_violations(program)
     if violations:
         raise IneligibleProgramError(violations)
@@ -176,7 +190,7 @@ def certify(program: Program) -> CertificateReport:
         lam1, lam2 = rule_lambdas(rule, bound_map)
         per_rule.append(RuleCertificate(idx, lam1, lam2))
     verdict = all(rc.passes for rc in per_rule)
-    global_lipschitz = max((rc.lambda2 for rc in per_rule), default=0.0)
+    global_lipschitz = max((max(rc.lambda1, rc.lambda2) for rc in per_rule), default=0.0)
     return CertificateReport(tuple(per_rule), head_bounds, verdict, global_lipschitz)
 
 
@@ -188,24 +202,28 @@ def solve_unique_traced(
     the iteration would lack its convergence guarantee."""
     report = certify(program)
     if not report.verdict:
-        raise UncertifiedProgramError(
-            f"certificate fails: max per-rule bound {report.global_lipschitz} is not < 1"
-        )
-    return _solve_certified(program, cfg)
+        worst = max(rc.lambda2 for rc in report.per_rule)
+        raise UncertifiedProgramError(f"certificate fails: max per-rule lambda2 {worst} is not < 1")
+    iterates = [Interpretation.bottom(program.kind, program.symbols)]
+    model, stats = _solve_certified(program, cfg, iterates)
+    return model, FixpointTrace(tuple(iterates), stats.converged, stats.residual)
 
 
-def _solve_certified(program: Program, cfg: FixpointConfig) -> tuple[Interpretation, FixpointTrace]:
+def _solve_certified(
+    program: Program, cfg: FixpointConfig, iterates: Optional[list[Interpretation]] = None
+) -> tuple[Interpretation, FixpointStats]:
     """The iteration of ``solve_unique_traced`` on a program whose
-    certificate verdict the caller has already found positive."""
-    trace = iterate_tp(program, cfg)
-    if not trace.converged:
+    certificate verdict the caller has already found positive; appends
+    each iterate after the bottom one to ``iterates`` when given."""
+    final, stats = _kleene(program, cfg, _bottom(program), None, iterates)
+    if not stats.converged:
         raise UncertifiedProgramError(
             "iteration did not converge within the budget despite the certificate; "
             "raise max_iterations"
         )
-    if not is_stable(program, trace.final, cfg):
+    if not _stability(program, final, cfg, STABLE_CHECK_TOL)[0]:
         raise UncertifiedProgramError("computed fixpoint failed the stability check")
-    return trace.final, trace
+    return _interpretation(program, final), stats
 
 
 def solve_unique(program: Program, cfg: FixpointConfig = DEFAULT_CONFIG) -> Interpretation:
@@ -225,8 +243,9 @@ def empirical_contraction_check(
     cfg: FixpointConfig = DEFAULT_CONFIG,
 ) -> float:
     """Largest observed ratio d(T(J1), T(J2)) / d(J1, J2) over random
-    interpretation pairs below the head-weight bounds.  On a certified
-    program it never exceeds the certificate's global Lipschitz constant."""
+    interpretation pairs below the head-weight bounds, on a program that
+    passes the verdict.  It never exceeds the sound bound
+    ``global_lipschitz``, which can be 1 or more."""
     report = certify(program)
     if not report.verdict:
         raise UncertifiedProgramError("contraction check needs a certified program")

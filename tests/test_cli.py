@@ -204,6 +204,7 @@ class TestCert:
         doc = json.loads(report.read_text())
         assert doc["certificate"]["verdict"] is True
         assert doc["certificate"]["global_lipschitz"] == pytest.approx(0.9)
+        assert doc["certificate"]["proven_contraction"] is True
         assert doc["model"]["p"] == [0.7, 0.9]
 
     def test_solve_certifies_once(self, capsys, monkeypatch):
@@ -232,6 +233,56 @@ class TestCert:
         assert main(["cert", CERT, "--solve", "--max", "1"]) == 3
         err = capsys.readouterr().err
         assert "did not converge" in err
+
+    def test_solve_reports_run_statistics(self, tmp_path, capsys):
+        # the report's trace is the run's statistics, and they and the model
+        # agree with iterating from bottom while keeping every iterate
+        rng = random.Random(31)
+        for k in range(10):
+            path = tmp_path / f"cert{k}.mnlp"
+            path.write_text(render_program(random_certified_program(rng)))
+            program = load_program(path.read_text())
+            report = tmp_path / "cert.json"
+            assert main(["cert", str(path), "--solve", "--json", str(report)]) == 0
+            doc = json.loads(report.read_text())
+            trace = engine.iterate_tp(program)
+            assert set(doc["trace"]) == {"converged", "residual", "steps", "effective_steps", "rule_evaluations"}
+            assert doc["trace"]["converged"] is trace.converged is True
+            assert doc["trace"]["residual"] == trace.residual
+            assert doc["trace"]["steps"] == len(trace.iterates) - 1
+            assert doc["trace"]["effective_steps"] == trace.effective_steps()
+            assert len(program.rules) <= doc["trace"]["rule_evaluations"] <= doc["trace"]["steps"] * len(program.rules)
+            final = semantics.interpretation_to_dict(trace.final)
+            assert [repr(x) for s in sorted(final) for x in final[s]] == [
+                repr(x) for s in sorted(doc["model"]) for x in doc["model"][s]
+            ]  # bit-identical, the sign of zero included
+            assert f"after {trace.effective_steps()} effective iterations" in capsys.readouterr().out
+
+    def test_only_tp_iterate_reports_iterates(self, tmp_path, capsys):
+        cert, tp = tmp_path / "cert.json", tmp_path / "tp.json"
+        bot = write_json(tmp_path / "bot.json", {s: [0, 0] for s in ("p", "q", "s", "t")})
+        assert main(["cert", CERT, "--solve", "--json", str(cert)]) == 0
+        assert main(["tp", CERT, "--iterate", "--interp", bot, "--json", str(tp)]) == 0
+        cert_trace = json.loads(cert.read_text())["trace"]
+        tp_trace = json.loads(tp.read_text())["trace"]
+        assert "iterates" not in cert_trace
+        assert len(tp_trace["iterates"]) == cert_trace["steps"] + 1
+
+    def test_lambda2_only_certificate_says_so(self, tmp_path, capsys):
+        # gamma > delta lifts lambda1 of the first rule to 1.215: the paper's
+        # lambda2 test passes, but the sound bound proves no contraction
+        path = tmp_path / "lambda1.mnlp"
+        path.write_text("p <-ei(1,1,3,1) q ; [0.5,0.5]\nq <-ei(1,1,1,1) not p ; [0.9,0.9]\n")
+        report = tmp_path / "cert.json"
+        assert main(["cert", str(path), "--solve", "--json", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert "uniqueness rests on that bound only" in out
+        assert "guaranteed" not in out
+        doc = json.loads(report.read_text())
+        assert doc["certificate"]["verdict"] is True
+        assert doc["certificate"]["proven_contraction"] is False
+        assert doc["certificate"]["global_lipschitz"] == pytest.approx(1.215)
+        assert "model" in doc
 
 
 # deeper than Python's recursion limit: every body walk keeps its own stack

@@ -121,6 +121,13 @@ class TestReduct:
         with pytest.raises(SymbolMismatchError):
             tp(unit_two_stable, model_m, neg=unit_interp(p=0.1))
 
+    def test_reduct_refuses_an_interpretation_of_another_lattice(self, unit_two_stable):
+        # the reduct is not validated again, so a constant of a foreign
+        # lattice must not get in
+        interval_interp = Interpretation(INTERVAL, {s: Interval(0.2, 0.4) for s in unit_two_stable.symbols})
+        with pytest.raises(SymbolMismatchError):
+            reduct(unit_two_stable, interval_interp)
+
 
 class TestLeastFixpoint:
     def test_converges_to_known_model(self, unit_two_stable, model_m):

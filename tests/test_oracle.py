@@ -207,6 +207,66 @@ class TestChunkedEnumeration:
         assert brute_force_stable(unit_two_stable, GridSpec(10)) == expected
 
 
+def _pairwise_clusters(candidates, residuals, radius):
+    """Single linkage by comparing every pair: the reference for ``_cluster``."""
+    component = list(range(len(candidates)))
+    for a in range(len(candidates)):
+        for b in range(a + 1, len(candidates)):
+            if sup_norm(candidates[a], candidates[b]) <= radius and component[a] != component[b]:
+                old, new = component[b], component[a]
+                component = [new if c == old else c for c in component]
+    groups = {}
+    for i, c in enumerate(component):
+        groups.setdefault(c, []).append(i)
+    clusters = []
+    for members in groups.values():
+        rep = min(members, key=lambda i: (residuals[i], oracle._canonical_key(candidates[i])))
+        ordered = sorted(members, key=lambda i: oracle._canonical_key(candidates[i]))
+        clusters.append(oracle.Cluster(candidates[rep], tuple(candidates[i] for i in ordered), residuals[rep]))
+    return sorted(clusters, key=lambda c: oracle._canonical_key(c.representative))
+
+
+class TestCluster:
+    @pytest.mark.parametrize("kind", [UNIT, INTERVAL])
+    def test_equals_pairwise_linkage(self, kind):
+        # points on a coarse grid, some nudged by less than the slack of the
+        # radius, with repeats and repeated residuals to exercise ties
+        rng = random.Random(41)
+        for _ in range(60):
+            symbols = [f"a{i}" for i in range(rng.randint(1, 4))]
+            resolution = rng.choice((2, 4, 8))
+            step = 1.0 / resolution
+
+            def value():
+                x = rng.randint(0, resolution) * step
+                if rng.random() < 0.3:
+                    x = min(1.0, max(0.0, x + rng.choice((-1, 1)) * rng.choice((1e-13, 0.3 * step))))
+                return x
+
+            def interp():
+                if kind is UNIT:
+                    return Interpretation(kind, {s: Unit(value()) for s in symbols})
+                return Interpretation(kind, {s: Interval(*sorted((value(), value()))) for s in symbols})
+
+            candidates = [interp() for _ in range(rng.randint(0, 40))]
+            candidates += rng.sample(candidates, min(3, len(candidates)))
+            residuals = [rng.choice((0.0, 1e-10, rng.random() * 1e-9)) for _ in candidates]
+            radius = 2.0 * step * rng.choice((0.25, 0.5, 1.0)) + 1e-12
+            assert oracle._cluster(candidates, residuals, radius) == _pairwise_clusters(candidates, residuals, radius)
+
+    def test_ring_where_every_point_qualifies(self):
+        # at resolution 1 each of the 2^8 grid points qualifies and all are
+        # one cluster
+        text = "".join(f"a{i} <-G not a{(i + 1) % 8} ; 0.5\n" for i in range(8))
+        [cluster] = brute_force_stable(load_program(text), GridSpec(1))
+        assert len(cluster.members) == 256
+
+    def test_no_symbols(self):
+        empty = Interpretation(UNIT, {})
+        [cluster] = oracle._cluster([empty, empty], [0.0, 0.0], 0.5)
+        assert cluster.members == (empty, empty)
+
+
 class TestMinimality:
     def test_known_stable_model_is_minimal(self, unit_two_stable, model_m):
         assert minimality_check(unit_two_stable, model_m, GridSpec(10))

@@ -22,6 +22,7 @@ from manlp import (
     empirical_contraction_check,
     head_weight_bounds,
     is_stable,
+    iterate_tp,
     parse_program,
     rule_lambdas,
     solve_unique,
@@ -156,6 +157,9 @@ class TestRuleLambdas:
         assert first.lambda2 == pytest.approx(0.5)
         assert first.lambda1 > first.lambda2
         assert report.verdict  # the stated test only inspects lambda2
+        # the global bound is the sound max over rules of max(lambda1, lambda2)
+        assert report.global_lipschitz == pytest.approx(1.215)
+        assert not report.proven_contraction
 
     def test_rule_lambdas_direct(self, interval_certified):
         bounds = {hb.symbol: hb.bound for hb in head_weight_bounds(interval_certified)}
@@ -166,6 +170,14 @@ class TestRuleLambdas:
 
 
 class TestSolveUnique:
+    def test_traced_solve_keeps_every_iterate(self):
+        rng = random.Random(24)
+        for _ in range(5):
+            prog = random_certified_program(rng)
+            model, trace = solve_unique_traced(prog)
+            assert trace == iterate_tp(prog)
+            assert model == trace.final
+
     def test_fixture_model(self, interval_certified):
         model, trace = solve_unique_traced(interval_certified)
         assert model["p"] == Interval(0.7, 0.9)
@@ -228,6 +240,24 @@ class TestContraction:
             report = certify(prog)
             ratio = empirical_contraction_check(prog, samples=300, seed=1)
             assert ratio <= report.global_lipschitz + 1e-9
+
+    def test_sound_bound_where_lambda1_exceeds_lambda2(self):
+        # where gamma > delta lifts some lambda1 above its lambda2, observed
+        # ratios can exceed max lambda2 but never the sound bound
+        rng = random.Random(11)
+        checked = above_lambda2 = 0
+        while checked < 40:
+            prog = random_eligible_program(rng)
+            if not eligible(prog):
+                continue
+            report = certify(prog)
+            if not report.verdict or all(rc.lambda1 <= rc.lambda2 for rc in report.per_rule):
+                continue
+            ratio = empirical_contraction_check(prog, samples=300, seed=1)
+            assert ratio <= report.global_lipschitz * (1.0 + 1e-12)
+            above_lambda2 += ratio > max(rc.lambda2 for rc in report.per_rule)
+            checked += 1
+        assert above_lambda2 > 0
 
     def test_constant_rule_ratio_zero(self):
         # a rule whose body atoms never move below the bound interpretation:
