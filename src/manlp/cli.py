@@ -38,7 +38,7 @@ from .semantics import (
     Interpretation,
     interpretation_from_dict,
     interpretation_to_dict,
-    rule_value,
+    rule_values,
     value_to_json,
 )
 from .syntax import ParseError, Program, load_program, render_program, render_rule
@@ -94,7 +94,8 @@ def _load_interp(path: str, program: Program) -> Interpretation:
 
 def _write_json(args, doc: dict) -> None:
     if getattr(args, "json", None):
-        text = json.dumps(doc, indent=2, sort_keys=True)  # one write, not one per token
+        # one line: with indent, json falls back to its pure-Python encoder
+        text = json.dumps(doc, sort_keys=True)
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
@@ -119,8 +120,7 @@ def _cmd_check_model(args) -> int:
     program, digest = _load_program(args.program)
     interp = _load_interp(args.interp, program)
     rows = []
-    for idx, rule in enumerate(program.rules):
-        value = rule_value(rule, interp)
+    for idx, (rule, value) in enumerate(zip(program.rules, rule_values(program, interp))):
         row = {
             "index": idx,
             "rule": render_rule(rule),
@@ -188,7 +188,7 @@ def _cmd_stable(args) -> int:
 
     if args.check:
         # check_stable without its trace, which nothing here prints
-        stable, converged, distance = _stability(program, _values(program, _load_interp(args.check, program)), cfg, STABLE_CHECK_TOL)
+        [(stable, converged, distance)] = _stability(program, _values(program, _load_interp(args.check, program)), cfg, STABLE_CHECK_TOL)
         doc["verdict"] = stable
         doc["distance"] = distance
         doc["lfp_converged"] = converged
@@ -226,6 +226,7 @@ def _cmd_stable(args) -> int:
     doc["models"] = [interpretation_to_dict(i) for i, _ in result.found]
     doc["nonconverged_starts"] = result.nonconverged_starts
     doc["rejected_limits"] = result.rejected_limits
+    doc["starts"] = [{"outcome": outcome, "rounds": rounds} for outcome, rounds in result.starts]
     _write_json(args, doc)
     print(
         f"search: {len(result.found)} stable model(s); "

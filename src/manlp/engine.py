@@ -12,34 +12,40 @@ iterate ``tp(P, J, neg=I)``, whose negated atoms read I, with the same float
 operations in the same order as ``tp(reduct(P, I), J)``.  ``reduct`` still
 builds P_I, for ``manlp reduct``.
 
-The operator runs on raw values (``lattice.Raw``), one per symbol in
-``Program.symbols`` order, through the program's compiled rules
-(``Program.compiled``); interpretations are built only where a result is
-returned.  ``iterate_tp`` keeps every iterate; ``is_stable``, the search and
-the certified solve keep only the last one, with a ``FixpointStats`` record
-of the run.
+The operator runs on arrays of raw values through the program's schedule
+(``Program.compiled``, a ``syntax.Schedule``): a block shaped (symbols,
+endpoints, columns) holds one interpretation per column, and ``_kleene``
+advances every column at once, each stopping at its own first step within
+the tolerance with its own ``FixpointStats``.  ``stable_search`` runs its
+starts as the columns of one iteration per round and checks every converged
+limit in one more; ``tp``, ``iterate_tp``, ``is_stable``, the certified
+solve and ``stable --check`` are the one-column case.  Interpretations are
+built only where a result is returned: ``iterate_tp`` keeps every iterate,
+the others only the last one.
 
-Kleene iteration is change-driven (semi-naive): after the first step, which
-evaluates every rule, a step evaluates only the rules that read a symbol
-(or, when negated atoms read the current iterate, a negation) that moved in
-the step before, through the compiled program's reader index.  A rule's
-value depends only on what it reads, so the iterates are bit-identical to
-evaluating every rule on every step.  ``tp`` is the first step.
+A step evaluates the bodies group by group (``semantics._run_nodes``),
+applies each rule's tag, and folds each head's contributions into their
+supremum, keeping the first of equal maxima as ``max`` does.  The first step
+evaluates every rule.  A later one evaluates, as an index subset, only the
+rules that read a slot that moved in the step before in some column (or,
+when negated atoms read the current iterate, a negation), unless those are
+at least half the rules, when it evaluates every rule.  A rule's value
+depends only on what it reads, so the iterates are bit-identical either way,
+and to running each column alone.  ``tp`` is the first step.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import chain
-from math import copysign
-from operator import sub
-from typing import Collection, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .lattice import LatticeKind, Raw, TruthValue, Interval, Unit, bottom, from_raw, kernel, negate, to_raw
+import numpy as np
+
+from .lattice import LatticeKind, TruthValue, Interval, Unit, from_raw, kernel, negate, to_raw
 from .semantics import Interpretation, SymbolMismatchError, interpretation_to_dict
-from .semantics import _check_same_symbols, _checked, _negated, _run
-from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program, _fold
+from .semantics import _check, _check_same_symbols, _column, _negations, _registers, _run_nodes
+from .syntax import Agg, BodyExpr, Conn, Const, NegProp, Program, Schedule, _fold, _width
 
 
 class NonPositiveProgramError(ValueError):
@@ -99,127 +105,173 @@ class FixpointStats(NamedTuple):
     residual: float  # sup-norm size of the last step
     steps: int  # applications of the consequence operator
     effective_steps: int  # steps of nonzero size (``FixpointTrace.effective_steps``)
-    rule_evaluations: int  # rule bodies evaluated over all steps
+    rule_evaluations: int  # rules whose input moved, summed over the steps (every rule on the first)
 
 
-def _distance(kind: LatticeKind, a: list[Raw], b: list[Raw]) -> float:
-    """``sup_norm`` of two raw value lists."""
-    if kind is LatticeKind.INTERVAL:
-        a, b = chain.from_iterable(a), chain.from_iterable(b)
-    return max(map(abs, map(sub, a, b)), default=0.0)
+def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sup_norm`` of two register blocks shaped (symbols, endpoints,
+    columns), per column."""
+    return np.abs(a - b).max(axis=(0, 1), initial=0.0)
 
 
 def sup_norm(i: Interpretation, j: Interpretation) -> float:
     """Largest componentwise gap; interval endpoints count separately."""
     _check_same_symbols(i, j)
-    return _distance(i.kind, [to_raw(i[s]) for s in i], [to_raw(j[s]) for s in i])
+    return _gaps(_column(i.kind, [to_raw(i[s]) for s in i]), _column(i.kind, [to_raw(j[s]) for s in i])).item()
 
 
-def _values(program: Program, interp: Interpretation) -> list[Raw]:
-    """The raw values of ``interp`` in the program's symbol order."""
+def _values(program: Program, interp: Interpretation) -> np.ndarray:
+    """The raw values of ``interp`` in the program's symbol order, as one
+    column."""
     if interp.kind is not program.kind or interp.symbols != set(program.symbols):
         raise SymbolMismatchError(
             f"interpretation symbols {sorted(interp.symbols)} ({interp.kind.value}) do not match "
             f"the program's {list(program.symbols)} ({program.kind.value})"
         )
-    return [to_raw(interp[s]) for s in program.symbols]
+    return _column(program.kind, [to_raw(interp[s]) for s in program.symbols])
 
 
-def _interpretation(program: Program, values: list[Raw]) -> Interpretation:
+def _interpretation(program: Program, values: np.ndarray) -> Interpretation:
+    """The interpretation of one column, shaped (symbols, endpoints)."""
     kind = program.kind
-    return Interpretation(kind, {s: from_raw(kind, v) for s, v in zip(program.symbols, values)})
+    raws = values[:, 0].tolist() if kind is LatticeKind.UNIT else map(tuple, values.tolist())
+    return Interpretation(kind, {s: from_raw(kind, v) for s, v in zip(program.symbols, raws)})
 
 
-def _bottom(program: Program) -> list[Raw]:
-    return [to_raw(bottom(program.kind))] * len(program.symbols)
+def _bottom(program: Program, columns: int = 1) -> np.ndarray:
+    return np.zeros((len(program.symbols), _width(program.kind), columns))
 
 
-def _tail(program: Program, neg: list[Raw]) -> list[Raw]:
-    """The environment after the symbols' own values: the negations of
-    ``neg``, then the program's constants."""
-    kind = program.kind
-    return [_negated(kind, v) for v in neg] + list(program.compiled.constants)
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``starts[i]`` to ``starts[i] + lengths[i]``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _moved(old: Raw, new: Raw) -> bool:
-    """Whether a value changed.  0.0 and -0.0 are equal but count as
-    different: a product keeps the sign of a zero factor, and the sign is
-    printed."""
-    if old != new:
-        return True
-    if isinstance(old, tuple):
-        return copysign(1.0, old[0]) != copysign(1.0, new[0]) or copysign(1.0, old[1]) != copysign(1.0, new[1])
-    return copysign(1.0, old) != copysign(1.0, new)
+def _distinct(indices: np.ndarray) -> np.ndarray:
+    """The distinct values of ``indices``, in increasing order."""
+    indices = np.sort(indices)
+    keep = np.empty(len(indices), dtype=bool)
+    keep[:1] = True
+    np.not_equal(indices[1:], indices[:-1], out=keep[1:])
+    return indices[keep]
+
+
+def _sups(schedule: Schedule, contributions: np.ndarray, heads: int, plan: tuple) -> np.ndarray:
+    """For each of ``heads`` heads, the supremum of its rules'
+    contributions, bottom if it heads none: a fold over its rules in program
+    order (``plan`` is their ``Schedule.fold``), which keeps the first of
+    equal maxima as ``max`` does."""
+    ruled, first, folds = plan
+    sup = kernel(schedule.kind, "max")
+    out = np.zeros((heads,) + contributions.shape[1:])
+    out[ruled] = contributions[first]
+    for more, rules in folds:
+        out[more] = sup([out[more], contributions[rules]])
+    return _check(schedule.kind, out) if folds else out
+
+
+def _step(schedule: Schedule, registers: np.ndarray, contributions: np.ndarray, rules: Optional[np.ndarray]):
+    """One application of the consequence operator in place: evaluates the
+    bodies and contributions of ``rules`` (every rule when None), and
+    returns the heads of those rules (None for every symbol) with their new
+    values."""
+    kind, bodies = schedule.kind, schedule.bodies
+    if rules is None:
+        _run_nodes(bodies, registers)
+        for conjunctor, members, operands, weights in schedule.rules:
+            contributions[members] = conjunctor(weights, registers[operands])
+        _check(kind, contributions)
+        return None, _sups(schedule, contributions, bodies.n, schedule.every_head)
+    starts = bodies.node_offsets[rules]
+    _run_nodes(bodies, registers, np.sort(bodies.nodes[_ranges(starts, bodies.node_offsets[rules + 1] - starts)]))
+    tags = schedule.tag_of[rules]
+    for g, (conjunctor, *_) in enumerate(schedule.rules):
+        members = rules[tags == g]
+        if len(members):
+            contributions[members] = conjunctor(schedule.weights[members], registers[bodies.results[members]])
+    _check(kind, contributions[rules])
+    heads = _distinct(schedule.head_of[rules])
+    return heads, _sups(schedule, contributions, len(heads), schedule.fold(heads))
+
+
+def _readers(schedule: Schedule, heads: np.ndarray, negated: bool) -> tuple[Optional[np.ndarray], int]:
+    """The rules that read the value of one of ``heads`` (or its negation
+    when ``negated``), in increasing order, or None when they are at least
+    half the rules; and how many they are."""
+    bodies = schedule.bodies
+    slots = np.concatenate((heads, heads + bodies.n)) if negated else heads
+    starts = bodies.reader_offsets[slots]
+    rules = _distinct(bodies.readers[_ranges(starts, bodies.reader_offsets[slots + 1] - starts)])
+    return (None if 2 * len(rules) >= len(schedule.head_of) else rules), len(rules)
 
 
 def _kleene(
     program: Program,
     cfg: FixpointConfig,
-    cur: list[Raw],
-    neg: Optional[list[Raw]],
+    cur: np.ndarray,
+    neg: Optional[np.ndarray],
     iterates: Optional[list[Interpretation]] = None,
-) -> tuple[list[Raw], FixpointStats]:
-    """Kleene iteration on raw values from ``cur``; negated atoms read
+) -> tuple[np.ndarray, list[FixpointStats]]:
+    """Kleene iteration of every column of ``cur`` (shaped (symbols,
+    endpoints, columns)) at once; negated atoms read the same column of
     ``neg``, or the current iterate when it is None.  Appends each new
-    iterate to ``iterates`` when given.  Returns the last iterate and the
-    run's statistics.
+    iterate to ``iterates`` when given (one column only).  Returns each
+    column's last iterate and its statistics: a column stops at its own
+    first step within the tolerance.
 
     Each step applies the consequence operator: per symbol, the supremum of
     its rules' contributions, bottom if it heads none.  The first step
     evaluates every rule; a later one only the rules that read a slot that
-    moved in the step before (a negated slot moves only when ``neg`` is
-    None).  Every other rule keeps its last value, and a symbol none of
-    whose rules ran keeps its own."""
-    kind = program.kind
-    compiled = program.compiled
-    rules, offsets, head_of = compiled.rules, compiled.offsets, compiled.head_of
-    readers, reader_offsets = compiled.readers, compiled.reader_offsets
-    sup = kernel(kind, "max")
-    bot = to_raw(bottom(kind))
-    n = len(cur)
-    env = cur + _tail(program, cur if neg is None else neg)
-    values: list[Raw] = [bot] * len(rules)  # each rule's last contribution
-    heads: Iterable[int] = range(n)
-    dirty: Collection[int] = range(len(rules))
-    moved: list[int] = []
-    residual = float("inf")
-    effective = evaluations = 0
+    moved in the step before in some column (a negated slot moves only
+    when ``neg`` is None), or every rule when those are at least half of
+    them.  Every other rule keeps its last value, and a symbol none of whose
+    rules ran keeps its own."""
+    kind, schedule = program.kind, program.compiled
+    n, columns = len(program.symbols), cur.shape[2]
+    final = np.empty_like(cur)
+    stats: list = [None] * columns
+    if not columns:
+        return final, stats
+    registers = _registers(schedule.bodies, cur, _negations(kind, cur if neg is None else neg))
+    contributions = np.empty((len(program.rules),) + cur.shape[1:])
+    active = np.arange(columns)  # the original column of each column still running
+    effective = np.zeros(columns, dtype=np.intp)
+    evaluations, count = 0, len(program.rules)
+    rules = None
     for step in range(cfg.max_iterations):
         if step:
-            dirty = set()
-            for h in moved:
-                dirty.update(readers[reader_offsets[h] : reader_offsets[h + 1]])
-                if neg is None:
-                    env[n + h] = _negated(kind, env[h])
-                    dirty.update(readers[reader_offsets[n + h] : reader_offsets[n + h + 1]])
-            heads = sorted({head_of[r] for r in dirty})
-        evaluations += len(dirty)
-        moved, old, new = [], [], []
-        for h in heads:
-            lo, hi = offsets[h], offsets[h + 1]
-            for r in range(lo, hi):
-                if r in dirty:
-                    conj, weight, code, leaf = rules[r]
-                    values[r] = _checked(kind, conj(weight, _run(code, leaf, env, kind)))
-            if lo == hi:
-                value = bot
-            elif hi - lo == 1:  # the supremum of one contribution is itself
-                value = values[lo]
-            else:
-                value = _checked(kind, sup(values[lo:hi]))
-            if _moved(env[h], value):
-                moved.append(h)
-                old.append(env[h])
-                new.append(value)
-        residual = _distance(kind, new, old)
+            if neg is None:
+                registers[n + heads] = _negations(kind, registers[heads])
+            rules, count = _readers(schedule, heads, neg is None)
+        evaluations += count
+        heads, values = _step(schedule, registers, contributions, rules)
+        old = registers[:n] if heads is None else registers[heads]
+        moved = (values.view(np.int64) != old.view(np.int64)).any(axis=(1, 2))  # 0.0 and -0.0 differ
+        residual = _gaps(values, old)
         effective += residual > 0.0
-        for h, value in zip(moved, new):
-            env[h] = value
+        if heads is None:
+            registers[:n] = values
+            heads = moved.nonzero()[0]
+        else:
+            registers[heads] = values
+            heads = heads[moved]
         if iterates is not None:
-            iterates.append(_interpretation(program, env[:n]))
-        if residual <= cfg.tolerance:
-            return env[:n], FixpointStats(True, residual, step + 1, effective, evaluations)
-    return env[:n], FixpointStats(False, residual, cfg.max_iterations, effective, evaluations)
+            iterates.append(_interpretation(program, registers[:n, :, 0]))
+        done = residual <= cfg.tolerance
+        if done.any():
+            for j in done.nonzero()[0].tolist():
+                final[:, :, active[j]] = registers[:n, :, j]
+                stats[active[j]] = FixpointStats(True, float(residual[j]), step + 1, int(effective[j]), evaluations)
+            keep = ~done
+            if not keep.any():
+                return final, stats
+            registers, contributions = registers[:, :, keep], contributions[:, :, keep]
+            active, effective, residual = active[keep], effective[keep], residual[keep]
+    for j, c in enumerate(active.tolist()):
+        final[:, :, c] = registers[:n, :, j]
+        stats[c] = FixpointStats(False, float(residual[j]), cfg.max_iterations, int(effective[j]), evaluations)
+    return final, stats
 
 
 def tp(
@@ -228,7 +280,7 @@ def tp(
     """One application of the immediate consequence operator; with ``neg``
     given, negated atoms read ``neg``, which applies the reduct by ``neg``."""
     neg_values = None if neg is None else _values(program, neg)
-    return _interpretation(program, _kleene(program, _ONE_STEP, _values(program, interp), neg_values)[0])
+    return _interpretation(program, _kleene(program, _ONE_STEP, _values(program, interp), neg_values)[0][:, :, 0])
 
 
 def reduct(program: Program, interp: Interpretation) -> Program:
@@ -264,7 +316,7 @@ def iterate_tp(
     start = start if start is not None else Interpretation.bottom(program.kind, program.symbols)
     iterates = [start]
     neg_values = None if neg is None else _values(program, neg)
-    _, stats = _kleene(program, cfg, _values(program, start), neg_values, iterates)
+    _, (stats,) = _kleene(program, cfg, _values(program, start), neg_values, iterates)
     return FixpointTrace(tuple(iterates), stats.converged, stats.residual)
 
 
@@ -309,13 +361,15 @@ def check_stable(
 
 
 def _stability(
-    program: Program, values: list[Raw], cfg: FixpointConfig, check_tol: float
-) -> tuple[bool, bool, float]:
+    program: Program, values: np.ndarray, cfg: FixpointConfig, check_tol: float
+) -> list[tuple[bool, bool, float]]:
     """``check_stable``'s verdict, whether lfp(P_I) converged and its distance
-    from I, for I given by its raw values, keeping no trace."""
-    final, stats = _kleene(program, cfg, _bottom(program), values)
-    distance = _distance(program.kind, final, values)
-    return stats.converged and distance <= check_tol, stats.converged, distance
+    from I, for each column I of ``values``, keeping no trace."""
+    final, stats = _kleene(program, cfg, _bottom(program, values.shape[2]), values)
+    return [
+        (run.converged and distance <= check_tol, run.converged, distance)
+        for run, distance in zip(stats, _gaps(final, values).tolist())
+    ]
 
 
 def is_stable(
@@ -325,7 +379,7 @@ def is_stable(
     check_tol: float = STABLE_CHECK_TOL,
 ) -> bool:
     """``check_stable(...).stable``, keeping no trace."""
-    return _stability(program, _values(program, interp), cfg, check_tol)[0]
+    return _stability(program, _values(program, interp), cfg, check_tol)[0][0]
 
 
 def random_interpretation(
@@ -359,14 +413,32 @@ def _canonical_key(interp: Interpretation) -> tuple:
     return tuple(interpretation_to_dict(interp).values())
 
 
+#: How a search start ended, as ``StableSearchResult.starts`` records it:
+#: its limit is one of the models found, is within ``SEARCH_DEDUP_TOL`` of
+#: one found from an earlier start, or fails the stability check; or the
+#: start did not converge: it revisited an earlier point, ran out of rounds,
+#: or an lfp(P_I) ran out of ``max_iterations``.
+START_OUTCOMES = ("converged", "duplicate", "rejected", "cycle", "rounds", "lfp_budget")
+_NONCONVERGED = frozenset(START_OUTCOMES[3:])
+
+
 @dataclass(frozen=True)
 class StableSearchResult:
-    """Verified stable models with their search traces, plus counts of the
-    starts that cycled, hit the budget, or settled on a non-stable point."""
+    """Verified stable models with their search traces, and for each start
+    in order its outcome (one of ``START_OUTCOMES``) and the rounds it ran."""
 
     found: tuple[tuple[Interpretation, FixpointTrace], ...]
-    nonconverged_starts: int = 0
-    rejected_limits: int = 0
+    starts: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def nonconverged_starts(self) -> int:
+        """The starts that cycled or ran out of rounds or lfp budget."""
+        return sum(outcome in _NONCONVERGED for outcome, _ in self.starts)
+
+    @property
+    def rejected_limits(self) -> int:
+        """The converged starts whose limit failed the stability check."""
+        return sum(outcome == "rejected" for outcome, _ in self.starts)
 
     def models(self) -> list[Interpretation]:
         return [interp for interp, _ in self.found]
@@ -381,57 +453,71 @@ def stable_search(
 ) -> StableSearchResult:
     """Multi-start search for stable models.
 
-    Each start is driven by the map I -> lfp(P_I) until the step
-    falls under the tolerance, the iteration revisits an earlier point (a
-    cycle), the round budget runs out, or an lfp(P_I) does not converge
-    within ``cfg.max_iterations``; all but the first count as not converged.  Converged limits are kept only if
-    they pass the stability check.  An empty result means the search failed,
-    not that no stable model exists.
+    Each start is driven by the map I -> lfp(P_I) until the step falls under
+    the tolerance, the iteration revisits an earlier point (a cycle), the
+    round budget runs out, or an lfp(P_I) does not converge within
+    ``cfg.max_iterations``; all but the first count as not converged.
+    Converged limits are kept only if they pass the stability check.  An
+    empty result means the search failed, not that no stable model exists.
+
+    The starts run in lockstep, one column each: a round computes lfp(P_I)
+    for every start still running in one Kleene iteration, and one more
+    checks the stability of every limit.  Each start's iterates are those of
+    a search of that start alone.
     """
     if starts is None:
         starts = default_starts(program, seed=seed)
-    kind = program.kind
-    found: list[tuple[Interpretation, FixpointTrace]] = []
-    found_values: list[list[Raw]] = []
-    nonconverged = 0
-    rejected = 0
-    for start in starts:
-        cur = _values(program, start)
-        history = [cur]
-        limit: Optional[list[Raw]] = None
-        residual = float("inf")
-        for _ in range(max_rounds):
-            nxt, stats = _kleene(program, cfg, _bottom(program), cur)
-            if not stats.converged:
-                break  # lfp(P_cur) ran out of budget: the start does not converge
-            residual = _distance(kind, nxt, cur)
-            if residual <= cfg.tolerance:
-                limit = nxt
-                history.append(nxt)
-                break
+    columns = [_values(program, start) for start in starts]
+    histories = [[x[:, :, 0]] for x in columns]
+    outcomes = ["rounds"] * len(columns)
+    rounds = [0] * len(columns)
+    residuals = [float("inf")] * len(columns)
+    running = list(range(len(columns)))
+    cur = np.concatenate(columns, axis=2) if columns else None
+    for _ in range(max_rounds):
+        if not running:
+            break
+        nxt, stats = _kleene(program, cfg, _bottom(program, len(running)), cur)
+        steps = _gaps(nxt, cur).tolist()
+        going = []
+        for j, i in enumerate(running):
+            rounds[i] += 1
+            if not stats[j].converged:
+                outcomes[i] = "lfp_budget"  # lfp(P_cur) ran out of budget: the start does not converge
+                continue
+            limit, history = nxt[:, :, j], histories[i]
+            residuals[i] = steps[j]
+            if steps[j] <= cfg.tolerance:
+                outcomes[i] = "converged"
             # a revisit of an earlier iterate while the step is still large is
             # a genuine cycle; the step guard keeps slowly converging
             # oscillations (which also pass near old iterates) iterating
-            if residual > 100.0 * cfg.tolerance and any(
-                _distance(kind, nxt, past) <= cfg.tolerance for past in history[-100:-1]
-            ):
-                history.append(nxt)
-                break
-            history.append(nxt)
-            cur = nxt
-        if limit is None:
-            nonconverged += 1
-            continue
-        if not _stability(program, limit, cfg, STABLE_CHECK_TOL)[0]:
-            rejected += 1
-            continue
-        if any(_distance(kind, limit, seen) <= SEARCH_DEDUP_TOL for seen in found_values):
-            continue
-        found_values.append(limit)
-        trace = FixpointTrace(tuple(_interpretation(program, v) for v in history), True, residual)
-        found.append((trace.final, trace))
+            elif steps[j] > 100.0 * cfg.tolerance and len(history) > 1 and (
+                _gaps(np.stack(history[-100:-1], axis=2), limit[:, :, None]) <= cfg.tolerance
+            ).any():
+                outcomes[i] = "cycle"
+            else:
+                going.append(j)
+            history.append(limit)
+        running = [running[j] for j in going]
+        cur = nxt[:, :, going]
+    limits = [i for i, outcome in enumerate(outcomes) if outcome == "converged"]
+    if limits:
+        checks = _stability(program, np.stack([histories[i][-1] for i in limits], axis=2), cfg, STABLE_CHECK_TOL)
+    found: list[tuple[Interpretation, FixpointTrace]] = []
+    found_values: list[np.ndarray] = []
+    for i, (stable, _, _) in zip(limits, checks if limits else ()):
+        limit = histories[i][-1]
+        if not stable:
+            outcomes[i] = "rejected"
+        elif any(float(np.abs(limit - seen).max(initial=0.0)) <= SEARCH_DEDUP_TOL for seen in found_values):
+            outcomes[i] = "duplicate"
+        else:
+            found_values.append(limit)
+            trace = FixpointTrace(tuple(_interpretation(program, v) for v in histories[i]), True, residuals[i])
+            found.append((trace.final, trace))
     found.sort(key=lambda pair: _canonical_key(pair[0]))
-    return StableSearchResult(tuple(found), nonconverged, rejected)
+    return StableSearchResult(tuple(found), tuple(zip(outcomes, rounds)))
 
 
 def partition(program: Program) -> list[Program]:

@@ -5,11 +5,11 @@ and Łukasiewicz adjoint pairs, and the lattice C([0,1]) of closed
 subintervals of [0,1] ordered componentwise, with the family of exponential
 interval products (ei-products) and their residua.  Every operator here is a
 pure function on immutable values; values from different lattices never mix.
-Each rule tag, connective, aggregator and negation is written once, as a
-float kernel on raw values (``Raw``) in the one label table ``KERNELS``; the
-residua of the unit tags are the only formulas without a kernel.  The
-operators on value objects are lifted from the kernels, and the compiled
-evaluator runs the kernels directly (``kernel``).
+Each rule tag, connective, aggregator and negation is written once, as an
+array kernel on raw values in the one label table ``KERNELS``; the residua
+of the unit tags are the only formulas without a kernel.  The operators on
+value objects are lifted from the kernels (one value each), and the compiled
+evaluator runs the kernels directly (``kernel``) on whole groups of values.
 """
 
 from __future__ import annotations
@@ -18,8 +18,11 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
+from itertools import repeat
 from typing import Callable, ClassVar, Iterable, Optional, Union
+
+import numpy as np
 
 
 class LatticeKind(Enum):
@@ -186,14 +189,10 @@ ImpLabel = Union[str, EiParams]
 STAR = EiParams(1, 1, 1, 1)
 
 
-def _ei(p: EiParams, x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    return (x[0] ** p.alpha * y[0] ** p.gamma, x[1] ** p.beta * y[1] ** p.delta)
-
-
 def ei_product(p: EiParams, x: TruthValue, y: TruthValue) -> Interval:
     """[a,b] & [c,d] = [a^alpha * c^gamma, b^beta * d^delta]."""
     _require(LatticeKind.INTERVAL, x, y)
-    return Interval(*_ei(p, (x.lo, x.hi), (y.lo, y.hi)))
+    return _apply(LatticeKind.INTERVAL, partial(_ei, p), x, y)
 
 
 def ei_residuum(p: EiParams, z: TruthValue, y: TruthValue) -> Interval:
@@ -214,53 +213,103 @@ def ei_residuum(p: EiParams, z: TruthValue, y: TruthValue) -> Interval:
 
 # ---------------------------------------------------------------------------
 # The label table.  Every rule tag (its conjunctor), body connective,
-# aggregator and "not" is one float kernel on raw values; aggregators take
-# the list of argument values and act componentwise on intervals.
+# aggregator and "not" is one array kernel.  A kernel takes arrays of raw
+# values shaped (values, endpoints, columns), one endpoint for a unit value
+# and (lo, hi) for an interval, and computes every element exactly as
+# Python's float operations do on one value: ``min`` keeps its first
+# argument unless the second is smaller, ``max`` unless it is larger, a
+# power is Python's ``**`` and a mean is ``math.fsum`` over its count.
+# Binary kernels take two arrays; aggregators a list of them, and act on
+# each endpoint alone.
 # ---------------------------------------------------------------------------
 
 
-def _lukasiewicz(x: float, y: float) -> float:
-    return max(0.0, x + y - 1.0)
+def _godel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.where(y < x, y, x)
 
 
-def _mean(xs: list[float]) -> float:
-    return math.fsum(xs) / len(xs)
+def _larger(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.where(y > x, y, x)
 
 
-def _endpoints(aggregate: Callable) -> Callable:
-    """Apply a scalar aggregate to the lower and to the upper endpoints."""
-    return lambda xs: tuple(map(aggregate, zip(*xs)))
+def _lukasiewicz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    t = x + y - 1.0
+    return np.where(t > 0.0, t, 0.0)
 
 
-def _negate_unit(x: float) -> float:
-    return 1.0 - x
+def _minimum(xs: list[np.ndarray]) -> np.ndarray:
+    return reduce(_godel, xs)
 
 
-def _negate_interval(x: tuple[float, float]) -> tuple[float, float]:
-    return (1.0 - x[1], 1.0 - x[0])
+def _maximum(xs: list[np.ndarray]) -> np.ndarray:
+    return reduce(_larger, xs)
 
 
-#: Float kernels by label, per lattice.  A unit rule tag and its body
+def _mean(xs: list[np.ndarray]) -> np.ndarray:
+    # fsum is the correctly rounded sum, which one or two terms get from
+    # plain addition; "+ 0.0" turns its -0.0 into the 0.0 fsum returns
+    if len(xs) <= 2:
+        total = sum(xs[1:], xs[0]) + 0.0
+    else:
+        columns = zip(*(x.ravel().tolist() for x in xs))
+        total = np.array(list(map(math.fsum, columns)), dtype=float).reshape(xs[0].shape)
+    return total / len(xs)
+
+
+def _power(x: np.ndarray, e: int) -> np.ndarray:
+    """x ** e per element with Python's ``**``, which numpy's power does not
+    match in the last bit for every input."""
+    if e == 1:
+        return x
+    return np.array(list(map(pow, x.ravel().tolist(), repeat(e))), dtype=float).reshape(x.shape)
+
+
+def _powers(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Interval values with their lower endpoints raised to ``lo`` and their
+    upper ones to ``hi``."""
+    if lo == hi == 1:
+        return x
+    out = np.empty(x.shape)
+    out[:, 0] = _power(x[:, 0], lo)
+    out[:, 1] = _power(x[:, 1], hi)
+    return out
+
+
+def _ei_scaled(gamma: int, delta: int, weight_powers: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ei product of x and y from x's endpoint powers (x_lo^alpha, x_hi^beta)."""
+    return weight_powers * _powers(y, gamma, delta)
+
+
+def _ei(p: EiParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _ei_scaled(p.gamma, p.delta, _powers(x, p.alpha, p.beta), y)
+
+
+def _negate(x: np.ndarray) -> np.ndarray:
+    """1 - x, with the endpoints swapped (a unit value has one)."""
+    return 1.0 - x[:, ::-1]
+
+
+#: Array kernels by label, per lattice.  A unit rule tag and its body
 #: connective "&" + tag share one conjunctor.
 KERNELS: dict[LatticeKind, dict[str, Callable]] = {
     LatticeKind.UNIT: {
-        "G": min,
-        "&G": min,
+        "G": _godel,
+        "&G": _godel,
         "P": operator.mul,
         "&P": operator.mul,
         "L": _lukasiewicz,
         "&L": _lukasiewicz,
-        "min": min,
-        "max": max,
+        "min": _minimum,
+        "max": _maximum,
         "mean": _mean,
-        "not": _negate_unit,
+        "not": _negate,
     },
     LatticeKind.INTERVAL: {
         "*": partial(_ei, STAR),
-        "min": _endpoints(min),
-        "max": _endpoints(max),
-        "mean": _endpoints(_mean),
-        "not": _negate_interval,
+        "min": _minimum,
+        "max": _maximum,
+        "mean": _mean,
+        "not": _negate,
     },
 }
 
@@ -270,17 +319,27 @@ CONNECTIVES: dict[LatticeKind, tuple[str, ...]] = {LatticeKind.UNIT: ("&G", "&P"
 AGGREGATORS: tuple[str, ...] = ("min", "max", "mean")
 
 
+def _apply(kind: LatticeKind, f: Callable, *values: TruthValue) -> TruthValue:
+    """Run a kernel on value objects of ``kind``, as a one-element array each."""
+    out = f(*(np.array(to_raw(v), dtype=float).reshape(1, -1, 1) for v in values))
+    return from_raw(kind, out.item() if kind is LatticeKind.UNIT else tuple(out.ravel().tolist()))
+
+
+def _gather(kind: LatticeKind, f: Callable, values: list[TruthValue]) -> TruthValue:
+    """Run an aggregator kernel on a list of value objects of ``kind``."""
+    return _apply(kind, lambda *xs: f(list(xs)), *values)
+
+
 @cache  # one operator per label, which ``adjoint_pair`` hands out; only table labels reach it
 def _lift(label: str, kind: Optional[LatticeKind] = None) -> Callable[..., TruthValue]:
     """The operation on value objects that runs a kernel: the conjunctor
     ``label`` of ``kind``, or, without a kind, the aggregator ``label`` over
     the lattice of its first argument."""
     if kind is not None:
-        f = KERNELS[kind][label]
 
         def conjunctor(x: TruthValue, y: TruthValue) -> TruthValue:
             _require(kind, x, y)
-            return from_raw(kind, f(to_raw(x), to_raw(y)))
+            return _apply(kind, KERNELS[kind][label], x, y)
 
         return conjunctor
 
@@ -289,7 +348,7 @@ def _lift(label: str, kind: Optional[LatticeKind] = None) -> Callable[..., Truth
             raise ValueError("aggregator needs at least one argument")
         k = values[0].kind
         _require(k, *values)
-        return from_raw(k, KERNELS[k][label]([to_raw(v) for v in values]))
+        return _gather(k, KERNELS[k][label], list(values))
 
     return aggregator
 
@@ -302,7 +361,7 @@ agg_min, agg_max, agg_mean = _lift("min"), _lift("max"), _lift("mean")
 
 def negate(x: TruthValue) -> TruthValue:
     """Standard negation: 1-x on [0,1], endpoint flip on intervals."""
-    return from_raw(x.kind, kernel(x.kind, "not")(to_raw(x)))
+    return _apply(x.kind, kernel(x.kind, "not"), x)
 
 
 def sup_value(values: Iterable[TruthValue], kind: LatticeKind) -> TruthValue:
@@ -311,7 +370,7 @@ def sup_value(values: Iterable[TruthValue], kind: LatticeKind) -> TruthValue:
     if not values:
         return bottom(kind)
     _require(kind, *values)
-    return from_raw(kind, kernel(kind, "max")([to_raw(v) for v in values]))
+    return _gather(kind, kernel(kind, "max"), values)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +393,7 @@ def adjoint_pair(kind: LatticeKind, label: ImpLabel) -> tuple[BinaryOp, BinaryOp
 
 @lru_cache(maxsize=256)
 def kernel(kind: LatticeKind, label: ImpLabel) -> Callable:
-    """The float kernel a label names in ``kind``: a body connective, an
+    """The array kernel a label names in ``kind``: a body connective, an
     aggregator, "not", or a rule tag (its conjunctor)."""
     if isinstance(label, EiParams) and kind is LatticeKind.INTERVAL:
         return partial(_ei, label)

@@ -1,9 +1,19 @@
-"""Interpretations, formula evaluation, satisfaction and model checking."""
+"""Interpretations, formula evaluation, satisfaction and model checking.
+
+Bodies evaluate through a compiled register file (``syntax.Bodies``):
+``_run_nodes`` runs each group of nodes of one depth and label as one call
+of its array kernel, over every column at once, and range-checks every value
+it computes, raising the value constructors' ``ValueError``.  ``evaluate``
+compiles its one body; ``rule_values`` and ``is_model`` evaluate every body
+of a program in one pass of the program's schedule.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .lattice import (
     LatticeKind,
@@ -19,7 +29,7 @@ from .lattice import (
     to_raw,
     top,
 )
-from .syntax import AGGREGATE, BodyExpr, NegProp, Program, Prop, Rule, _compile_body
+from .syntax import Bodies, BodyExpr, Program, Rule, _width, body_atoms, compile_bodies
 
 
 class SymbolMismatchError(ValueError):
@@ -100,38 +110,66 @@ def interp_leq(i: Interpretation, j: Interpretation) -> bool:
     return all(leq(i[s], j[s]) for s in i)
 
 
-def _checked(kind: LatticeKind, value: Raw) -> Raw:
-    """``value`` itself if it is a truth value of ``kind``; otherwise raises
-    the value constructor's ValueError."""
-    if not (0.0 <= value <= 1.0 if kind is LatticeKind.UNIT else 0.0 <= value[0] <= value[1] <= 1.0):
-        from_raw(kind, value)
-    return value
+def _raw(kind: LatticeKind, x: np.ndarray) -> Raw:
+    """The raw value of one register column, shaped (endpoints,)."""
+    return x.item() if kind is LatticeKind.UNIT else tuple(x.tolist())
 
 
-def _negated(kind: LatticeKind, value: Raw) -> Raw:
-    return _checked(kind, kernel(kind, "not")(value))
+def _check(kind: LatticeKind, x: np.ndarray) -> np.ndarray:
+    """``x`` itself if every element is a truth value of ``kind``; otherwise
+    raises the value constructor's ValueError for the first that is not."""
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0 and (x.shape[1] == 1 or (x[:, 0] <= x[:, 1]).all())):
+        bad = (x[:, 0] >= 0.0) & (x[:, 0] <= x[:, -1]) & (x[:, -1] <= 1.0)
+        i, c = np.argwhere(~bad)[0]
+        from_raw(kind, _raw(kind, x[i, :, c]))
+    return x
 
 
-def _run(code: tuple, leaf: Optional[int], env: list[Raw], kind: LatticeKind) -> Raw:
-    """The value of a compiled body (see ``syntax._compile_body``) over an
-    environment of raw values: the leaf's slot, or the last result of its
-    instructions, run with an explicit stack.  Every value an operator
-    computes is range-checked."""
-    if leaf is not None:
-        return env[leaf]
-    stack: list = []
-    for fn, x, y in code:
-        if fn is AGGREGATE:
-            # the operands not in the environment are the top of the stack, in order
-            n = y.count(None)
-            popped = iter(stack[len(stack) - n :])
-            del stack[len(stack) - n :]
-            value = x([env[a] if a is not None else next(popped) for a in y])
-        else:
-            right = env[y] if y is not None else stack.pop()
-            value = fn(env[x] if x is not None else stack.pop(), right)
-        stack.append(_checked(kind, value))
-    return value
+def _negations(kind: LatticeKind, x: np.ndarray) -> np.ndarray:
+    return _check(kind, kernel(kind, "not")(x))
+
+
+def _column(kind: LatticeKind, raws: list[Raw]) -> np.ndarray:
+    """Raw values as a register block of one column."""
+    return np.array(raws, dtype=float).reshape(len(raws), _width(kind), 1)
+
+
+def _registers(bodies: Bodies, values: np.ndarray, negations: np.ndarray) -> np.ndarray:
+    """The register file of ``bodies`` over symbol values and their
+    negations shaped (symbols, endpoints, columns); the node registers are
+    left to ``_run_nodes``."""
+    n, base = bodies.n, bodies.base
+    registers = np.empty((base + len(bodies.nodes),) + values.shape[1:])
+    registers[:n] = values
+    registers[n : 2 * n] = negations
+    registers[2 * n : base] = bodies.constants
+    return registers
+
+
+def _run_nodes(bodies: Bodies, registers: np.ndarray, nodes: Optional[np.ndarray] = None) -> None:
+    """Evaluate body nodes in place, group by group: every node, or the
+    given node ids in increasing order.  Every value computed is
+    range-checked."""
+    base, starts = bodies.base, bodies.starts
+    if nodes is None:
+        for (f, aggregator, ops), start in zip(bodies.groups, starts.tolist()):
+            args = registers[ops]
+            registers[base + start : base + start + len(ops)] = (
+                f(list(args.swapaxes(0, 1))) if aggregator else f(args[:, 0], args[:, 1])
+            )
+        _check(bodies.kind, registers[base:])
+        return
+    if not len(nodes):
+        return
+    group = np.searchsorted(starts, nodes, side="right") - 1
+    bounds = [0] + ((group[1:] != group[:-1]).nonzero()[0] + 1).tolist() + [len(nodes)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        g = group[lo]
+        f, aggregator, ops = bodies.groups[g]
+        ids = nodes[lo:hi]
+        args = registers[ops[ids - starts[g]]]
+        registers[base + ids] = f(list(args.swapaxes(0, 1))) if aggregator else f(args[:, 0], args[:, 1])
+    _check(bodies.kind, registers[base + nodes])
 
 
 def evaluate(
@@ -141,18 +179,14 @@ def evaluate(
     if given, giving the body's value in the reduct by ``neg``."""
     kind = interp.kind
     neg = interp if neg is None else neg
-    env: list[Raw] = []
-
-    def slot(node: BodyExpr) -> int:
-        if isinstance(node, Prop):
-            env.append(to_raw(interp[node.name]))
-        elif isinstance(node, NegProp):
-            env.append(_negated(kind, to_raw(neg[node.name])))
-        else:
-            env.append(to_raw(node.value))
-        return len(env) - 1
-
-    return from_raw(kind, _run(*_compile_body(kind, body, slot), env, kind))
+    atoms = body_atoms(body)
+    bot = to_raw(bottom(kind))
+    values = _column(kind, [bot if negated else to_raw(interp[name]) for name, negated in atoms])
+    negations = _column(kind, [to_raw(neg[name]) if negated else bot for name, negated in atoms])
+    bodies = compile_bodies(kind, [name for name, _ in atoms], [body])
+    registers = _registers(bodies, values, _negations(kind, negations))
+    _run_nodes(bodies, registers)
+    return from_raw(kind, _raw(kind, registers[bodies.results[0], :, 0]))
 
 
 def rule_value(rule: Rule, interp: Interpretation) -> TruthValue:
@@ -161,13 +195,27 @@ def rule_value(rule: Rule, interp: Interpretation) -> TruthValue:
     return imp(interp[rule.head], evaluate(rule.body, interp))
 
 
+def rule_values(program: Program, interp: Interpretation) -> list[TruthValue]:
+    """``rule_value`` of every rule of the program, in order, from one
+    evaluation of the program's compiled bodies."""
+    kind = interp.kind
+    bodies = program.compiled.bodies
+    values = _column(kind, [to_raw(interp[s]) for s in program.symbols])
+    registers = _registers(bodies, values, _negations(kind, values))
+    _run_nodes(bodies, registers)
+    return [
+        adjoint_pair(kind, rule.imp)[1](interp[rule.head], from_raw(kind, _raw(kind, x)))
+        for rule, x in zip(program.rules, registers[bodies.results, :, 0])
+    ]
+
+
 def satisfies(rule: Rule, interp: Interpretation) -> bool:
     """A rule holds when its truth value reaches the rule weight."""
     return leq(rule.weight, rule_value(rule, interp))
 
 
 def is_model(program: Program, interp: Interpretation) -> bool:
-    return all(satisfies(rule, interp) for rule in program.rules)
+    return all(leq(rule.weight, value) for rule, value in zip(program.rules, rule_values(program, interp)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,22 @@ One rule per line::
 the top constant, e.g. ``q <-P 1 ; 0.6``.  Default negation applies to atoms
 only.  The unit connectives (&G, &P, &L and the G/P/L tags) and the interval
 ones (* and ei tags) cannot be mixed in one program.
+
+A program compiles once (``Program.compiled``) into a numpy schedule: its
+bodies as node groups over a register file (``Bodies``), and its rule tags
+and heads (``Schedule``), which the engine runs on many interpretations at
+once.
 """
 
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import islice
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
+
+import numpy as np
 
 from .lattice import (
     AGGREGATORS,
@@ -36,6 +42,8 @@ from .lattice import (
     TruthValue,
     Unit,
     UnknownOperatorError,
+    _ei_scaled,
+    _powers,
     adjoint_pair,
     kernel,
     to_raw,
@@ -133,7 +141,7 @@ class Program:
         return {h: tuple(rs) for h, rs in by_head.items()}
 
     @cached_property
-    def compiled(self) -> "CompiledProgram":
+    def compiled(self) -> "Schedule":
         return compile_program(self)
 
     def is_positive(self) -> bool:
@@ -143,89 +151,202 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Compiled form.  A body compiles to a list of instructions over an
-# environment (a list of raw values, see ``lattice.Raw``) and a stack.
-# ``(kernel, x, y)`` applies a binary kernel and ``(AGGREGATE, kernel,
-# operands)`` an aggregator; each pushes its result.  An operand is an
-# environment slot, or None for a subexpression's result, taken off the stack.
+# Compiled form.  Bodies evaluate over a register file, an array of raw
+# values shaped (registers, endpoints, columns), one column per
+# interpretation evaluated at once: the symbol values, their negations, the
+# constants, then one register per connective or aggregator node.  The nodes
+# run in groups of one depth (a leaf has depth 0, a node one more than its
+# deepest operand) and one label and arity, each group as one call of its
+# array kernel, so a group only reads registers written before it.
 # ---------------------------------------------------------------------------
 
-#: Marks an aggregator instruction.
-AGGREGATE = object()
 
-
-@dataclass(frozen=True)
-class CompiledProgram:
-    """A program's rules compiled over one environment: the values of the
-    symbols in ``Program.symbols`` order, then their negations, then
-    ``constants``.  ``rules`` holds every rule as (conjunctor kernel, raw
-    weight, body instructions, body leaf slot), see ``_compile_body``,
-    grouped by head in symbol order: the rules of symbol ``i`` are
-    ``rules[offsets[i]:offsets[i + 1]]``, in program order, and
-    ``head_of[r]`` is ``i`` for each of them.  The rules whose body reads
-    slot ``s``, one of the ``2 * len(symbols)`` slots of symbol values and
-    negations (constants never change), are
+@dataclass(frozen=True, eq=False)
+class Bodies:
+    """Bodies compiled over ``n`` symbols: registers ``[0, n)`` hold the
+    symbol values, ``[n, 2n)`` their negations, then come ``constants``
+    (shaped (constants, endpoints, 1)) and from ``base`` one register per
+    node.  Node ``i`` writes register ``base + i``; nodes are numbered group
+    by group, and group ``g`` is ``groups[g]`` = (kernel, whether it is an
+    aggregator, operand registers shaped (nodes, arity)) over the nodes
+    ``starts[g]`` to ``starts[g + 1]``.  Body ``b`` has the nodes
+    ``nodes[node_offsets[b]:node_offsets[b + 1]]`` and its value in register
+    ``results[b]``.  The bodies that read register ``s``, one of the ``2n``
+    symbol and negation registers, are
     ``readers[reader_offsets[s]:reader_offsets[s + 1]]``, in increasing
-    order.  The index arrays hold machine integers: a 9000-rule program
-    would need as many int objects again."""
+    order."""
 
-    rules: tuple[tuple, ...]
-    offsets: tuple[int, ...]
-    head_of: array
-    readers: array
-    reader_offsets: array
-    constants: tuple[Raw, ...]
-
-
-def _compile_body(kind: LatticeKind, body: BodyExpr, slot) -> tuple[list, Optional[int]]:
-    """The instructions of a body, and the slot of a body that is a single
-    leaf (it has no instructions) or None.  ``slot`` maps each atom, negated
-    atom or constant node to its environment slot."""
-    code: list = []
-
-    def conn(node: Conn, left: Optional[int], right: Optional[int]) -> None:
-        code.append((kernel(kind, node.op), left, right))
-
-    def agg(node: Agg, args: list) -> None:
-        code.append((AGGREGATE, kernel(kind, node.name), tuple(args)))
-
-    return code, _fold(body, slot, conn, agg)
+    kind: LatticeKind
+    n: int
+    constants: np.ndarray
+    base: int
+    groups: tuple[tuple[Callable, bool, np.ndarray], ...]
+    starts: np.ndarray
+    nodes: np.ndarray
+    node_offsets: np.ndarray
+    results: np.ndarray
+    readers: np.ndarray
+    reader_offsets: np.ndarray
 
 
-def compile_program(program: Program) -> CompiledProgram:
+def _index(values) -> np.ndarray:
+    return np.array(values, dtype=np.intp)
+
+
+def _width(kind: LatticeKind) -> int:
+    """The endpoints of a raw value: one for a unit value, two for an interval."""
+    return 1 if kind is LatticeKind.UNIT else 2
+
+
+def compile_bodies(kind: LatticeKind, symbols: Sequence[str], bodies: Iterable[BodyExpr]) -> Bodies:
+    """Compile bodies over ``symbols``, which must cover their atoms."""
+    n = len(symbols)
+    pos = {sym: i for i, sym in enumerate(symbols)}
+    constants: list[Raw] = []
+    labels: dict[tuple[str, int], int] = {}  # (label, arity) -> its order of appearance
+    depth, label_of, operands = [], [], []  # per node; an operand is a register or -1 - node
+    results, node_offsets, read_slots, read_bodies = [], [0], [], []
+    for b, body in enumerate(bodies):
+        out: list[tuple[int, int]] = []  # (operand, depth) of each finished subexpression
+        for node in walk(body):
+            t = type(node)
+            if t is Prop or t is NegProp:
+                s = pos[node.name] if t is Prop else n + pos[node.name]
+                read_slots.append(s)
+                read_bodies.append(b)
+                out.append((s, 0))
+                continue
+            if t is Const:
+                constants.append(to_raw(node.value))
+                out.append((2 * n + len(constants) - 1, 0))
+                continue
+            if t is Conn:
+                label, arity = node.op, 2
+            elif t is Agg:
+                label, arity = node.name, len(node.args)
+            else:
+                raise TypeError(f"not a body expression: {node!r}")
+            args = out[len(out) - arity :]
+            del out[len(out) - arity :]
+            depth.append(1 + max(d for _, d in args))
+            label_of.append(labels.setdefault((label, arity), len(labels)))
+            operands.append([a for a, _ in args])
+            out.append((-len(depth), depth[-1]))
+        results.append(out[0][0])
+        node_offsets.append(len(depth))
+    base = 2 * n + len(constants)
+    order = np.lexsort((label_of, depth)) if depth else _index([])  # stable: a group keeps walk order
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = np.arange(len(order))
+    registers = np.concatenate((np.arange(base), base + ids))  # of operand o at o, or at base - 1 - o for a node
+
+    def register(operand: np.ndarray) -> np.ndarray:
+        return registers[np.where(operand < 0, base - 1 - operand, operand)]
+
+    keys = np.asarray(depth) * len(labels) + np.asarray(label_of, dtype=np.intp)
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1)) if depth else _index([])
+    names = list(labels)
+    groups = []
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
+        label, arity = names[label_of[order[lo]]]
+        ops = register(_index([operands[i] for i in order[lo:hi].tolist()]).reshape(hi - lo, arity))
+        groups.append((kernel(kind, label), label in AGGREGATORS, ops))
+    read_slots, read_bodies = _index(read_slots), _index(read_bodies)
+    by_slot = np.argsort(read_slots, kind="stable")
+    return Bodies(
+        kind,
+        n,
+        np.array(constants, dtype=float).reshape(len(constants), _width(kind), 1),
+        base,
+        tuple(groups),
+        np.append(starts, len(order)),
+        ids,
+        _index(node_offsets),
+        register(_index(results)),
+        read_bodies[by_slot],
+        np.concatenate(([0], np.cumsum(np.bincount(read_slots, minlength=2 * n)))),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """A program compiled once for its consequence operator: its rule bodies
+    over ``Program.symbols`` (``bodies``, rule ``r`` being body ``r``), and
+    the rule layer.  ``rules`` groups the rules by how their tag applies, as
+    (conjunctor, rule indices, their body registers, their ``weights``);
+    ``tag_of[r]`` is rule ``r``'s group.  A contribution is
+    ``conjunctor(weights, body values)``.  A unit tag's conjunctor is its
+    kernel, and ``weights`` holds the raw rule weights; the rules of ei tags
+    are grouped by (gamma, delta), and ``weights`` holds each weight's
+    (lo^alpha, hi^beta).  ``head_of[r]`` is the symbol rule ``r`` heads; the
+    rules of symbol ``i`` are ``by_head[head_offsets[i]:head_offsets[i +
+    1]]``, in program order."""
+
+    kind: LatticeKind
+    bodies: Bodies
+    rules: tuple[tuple[Callable, np.ndarray, np.ndarray, np.ndarray], ...]
+    weights: np.ndarray
+    tag_of: np.ndarray
+    head_of: np.ndarray
+    by_head: np.ndarray
+    head_offsets: np.ndarray
+
+    def fold(self, heads: np.ndarray) -> tuple:
+        """How the supremum over the rules of each of ``heads`` folds: the
+        positions of the heads that have rules with their first rules, then
+        for each later rule j the positions of the heads with more than j
+        rules with their j-th rules."""
+        first = self.head_offsets[heads]
+        count = self.head_offsets[heads + 1] - first
+        ruled = count.nonzero()[0]
+        folds = []
+        for j in range(1, count.max(initial=0)):
+            more = (count > j).nonzero()[0]
+            folds.append((more, self.by_head[first[more] + j]))
+        return ruled, self.by_head[first[ruled]], folds
+
+    @cached_property
+    def every_head(self) -> tuple:
+        """The ``fold`` of every symbol."""
+        return self.fold(np.arange(self.bodies.n))
+
+
+def _groups(keys: Iterable) -> list[tuple[object, np.ndarray]]:
+    """Each distinct key with the indices at which it occurs, in order of
+    first occurrence."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [(key, _index(indices)) for key, indices in groups.items()]
+
+
+def compile_program(program: Program) -> Schedule:
     """Compile every rule; ``Program.compiled`` keeps the result."""
     kind = program.kind
-    n = len(program.symbols)
+    rules = program.rules
     pos = {sym: i for i, sym in enumerate(program.symbols)}
-    constants: list[Raw] = []
-    rules: list[tuple] = []
-    offsets = [0]
-    head_of = array("l")
-    slot_readers: list[list[int]] = [[] for _ in range(2 * n)]
-    read: set[int] = set()  # the symbol slots the rule being compiled reads
-
-    def slot(node: BodyExpr) -> int:
-        if isinstance(node, Const):
-            constants.append(to_raw(node.value))
-            return 2 * n + len(constants) - 1
-        s = pos[node.name] if isinstance(node, Prop) else n + pos[node.name]
-        read.add(s)
-        return s
-
-    for h, sym in enumerate(program.symbols):
-        for rule in program.rules_by_head.get(sym, ()):
-            code, leaf = _compile_body(kind, rule.body, slot)
-            for s in read:
-                slot_readers[s].append(len(rules))  # this rule's index
-            read.clear()
-            rules.append((kernel(kind, rule.imp), to_raw(rule.weight), tuple(code), leaf))
-            head_of.append(h)
-        offsets.append(len(rules))
-    readers, reader_offsets = array("l"), array("l", [0])
-    for indices in slot_readers:
-        readers.extend(indices)
-        reader_offsets.append(len(readers))
-    return CompiledProgram(tuple(rules), tuple(offsets), head_of, readers, reader_offsets, tuple(constants))
+    head_of = _index([pos[rule.head] for rule in rules])
+    weights = np.array([to_raw(rule.weight) for rule in rules], dtype=float).reshape(len(rules), _width(kind), 1)
+    if kind is LatticeKind.UNIT:
+        groups = [(kernel(kind, label), members) for label, members in _groups(rule.imp for rule in rules)]
+    else:
+        for (alpha, beta), members in _groups((rule.imp.alpha, rule.imp.beta) for rule in rules):
+            weights[members] = _powers(weights[members], alpha, beta)
+        groups = [(partial(_ei_scaled, *e), members) for e, members in _groups((r.imp.gamma, r.imp.delta) for r in rules)]
+    tag_of = np.empty(len(rules), dtype=np.intp)
+    for g, (_, members) in enumerate(groups):
+        tag_of[members] = g
+    bodies = compile_bodies(kind, program.symbols, (rule.body for rule in rules))
+    return Schedule(
+        kind,
+        bodies,
+        tuple((f, members, bodies.results[members], weights[members]) for f, members in groups),
+        weights,
+        tag_of,
+        head_of,
+        np.argsort(head_of, kind="stable"),
+        np.concatenate(([0], np.cumsum(np.bincount(head_of, minlength=len(pos))))).astype(np.intp),
+    )
 
 
 def walk(expr: BodyExpr):

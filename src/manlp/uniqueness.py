@@ -20,21 +20,25 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .engine import (
     DEFAULT_CONFIG,
     STABLE_CHECK_TOL,
     FixpointConfig,
     FixpointStats,
     FixpointTrace,
+    _ONE_STEP,
     _bottom,
+    _gaps,
     _interpretation,
     _kleene,
     _stability,
-    sup_norm,
-    tp,
+    _sups,
+    _values,
 )
-from .lattice import EiParams, Interval, LatticeKind, sup_value
-from .semantics import Interpretation
+from .lattice import EiParams, Interval, LatticeKind, to_raw
+from .semantics import Interpretation, _column
 from .syntax import Conn, BodyExpr, NegProp, Program, Prop, Rule, walk
 
 
@@ -99,19 +103,26 @@ def star_decompose(body: BodyExpr) -> Optional[tuple[tuple[str, ...], tuple[str,
     return tuple(pos), tuple(neg)
 
 
-def eligibility_violations(program: Program) -> list[str]:
-    """Reasons the certificate does not apply; empty means eligible."""
+def _decompose(program: Program) -> tuple[list[str], list]:
+    """The reasons the certificate does not apply (none means eligible),
+    and each rule's ``star_decompose``, from one walk of each body."""
     if program.kind is not LatticeKind.INTERVAL:
-        return ["program is not over the interval lattice C([0,1])"]
-    violations = []
+        return ["program is not over the interval lattice C([0,1])"], []
+    violations, parts = [], []
     for idx, rule in enumerate(program.rules):
         if not isinstance(rule.imp, EiParams):
             violations.append(f"rule {idx}: implication is not an ei implication")
-        if star_decompose(rule.body) is None:
+        parts.append(star_decompose(rule.body))
+        if parts[-1] is None:
             violations.append(
                 f"rule {idx}: body is not a plain product of atoms and negated atoms"
             )
-    return violations
+    return violations, parts
+
+
+def eligibility_violations(program: Program) -> list[str]:
+    """Reasons the certificate does not apply; empty means eligible."""
+    return _decompose(program)[0]
 
 
 def eligible(program: Program) -> bool:
@@ -121,12 +132,12 @@ def eligible(program: Program) -> bool:
 def head_weight_bounds(program: Program) -> tuple[HeadBound, ...]:
     """Componentwise maximum of rule weights per head symbol; symbols heading
     no rule get [0,0], which is also what the consequence operator assigns
-    them."""
-    bounds = []
-    for sym in program.symbols:
-        weights = [r.weight for r in program.rules_by_head.get(sym, ())]
-        bounds.append(HeadBound(sym, sup_value(weights, LatticeKind.INTERVAL)))
-    return tuple(bounds)
+    them.  The maxima are the consequence operator's suprema over each head's
+    rules, taken of the weights."""
+    schedule = program.compiled
+    weights = _column(program.kind, [to_raw(rule.weight) for rule in program.rules])
+    sups = _sups(schedule, weights, len(program.symbols), schedule.every_head)[:, :, 0].tolist()
+    return tuple(HeadBound(sym, Interval(lo, hi)) for sym, (lo, hi) in zip(program.symbols, sups))
 
 
 def bound_interpretation(program: Program) -> Interpretation:
@@ -162,7 +173,11 @@ def rule_lambdas(rule: Rule, bounds: Mapping[str, Interval]) -> tuple[float, flo
     equal to 1, and 0^0 = 1; lambda1 is the mirror image with t1, alpha,
     gamma and lower endpoints.
     """
-    parts = star_decompose(rule.body)
+    return _lambdas(rule, star_decompose(rule.body), bounds)
+
+
+def _lambdas(rule: Rule, parts, bounds: Mapping[str, Interval]) -> tuple[float, float]:
+    """``rule_lambdas`` from the rule's ``star_decompose``."""
     if parts is None or not isinstance(rule.imp, EiParams):
         raise IneligibleProgramError([f"rule {rule.head!r} is outside the certificate's scope"])
     pos, neg = parts
@@ -180,14 +195,14 @@ def certify(program: Program) -> CertificateReport:
     ``global_lipschitz`` the sound bound, which proves exactly one stable
     model when below 1.  Raises IneligibleProgramError outside the
     certificate's scope."""
-    violations = eligibility_violations(program)
+    violations, parts = _decompose(program)
     if violations:
         raise IneligibleProgramError(violations)
     head_bounds = head_weight_bounds(program)
     bound_map = {hb.symbol: hb.bound for hb in head_bounds}
     per_rule = []
-    for idx, rule in enumerate(program.rules):
-        lam1, lam2 = rule_lambdas(rule, bound_map)
+    for idx, (rule, rule_parts) in enumerate(zip(program.rules, parts)):
+        lam1, lam2 = _lambdas(rule, rule_parts, bound_map)
         per_rule.append(RuleCertificate(idx, lam1, lam2))
     verdict = all(rc.passes for rc in per_rule)
     global_lipschitz = max((max(rc.lambda1, rc.lambda2) for rc in per_rule), default=0.0)
@@ -215,19 +230,23 @@ def _solve_certified(
     """The iteration of ``solve_unique_traced`` on a program whose
     certificate verdict the caller has already found positive; appends
     each iterate after the bottom one to ``iterates`` when given."""
-    final, stats = _kleene(program, cfg, _bottom(program), None, iterates)
+    final, (stats,) = _kleene(program, cfg, _bottom(program), None, iterates)
     if not stats.converged:
         raise UncertifiedProgramError(
             "iteration did not converge within the budget despite the certificate; "
             "raise max_iterations"
         )
-    if not _stability(program, final, cfg, STABLE_CHECK_TOL)[0]:
+    if not _stability(program, final, cfg, STABLE_CHECK_TOL)[0][0]:
         raise UncertifiedProgramError("computed fixpoint failed the stability check")
-    return _interpretation(program, final), stats
+    return _interpretation(program, final[:, :, 0]), stats
 
 
 def solve_unique(program: Program, cfg: FixpointConfig = DEFAULT_CONFIG) -> Interpretation:
     return solve_unique_traced(program, cfg)[0]
+
+
+#: Sample pairs that ``empirical_contraction_check`` applies the operator to at once.
+_SAMPLE_COLUMNS = 128
 
 
 def _random_below(bound: Interval, rng: random.Random) -> Interval:
@@ -252,16 +271,14 @@ def empirical_contraction_check(
     rng = random.Random(seed)
     bound_map = {hb.symbol: hb.bound for hb in report.head_bounds}
     worst = 0.0
-    for _ in range(samples):
-        j1 = Interpretation(
-            LatticeKind.INTERVAL, {s: _random_below(bound_map[s], rng) for s in program.symbols}
-        )
-        j2 = Interpretation(
-            LatticeKind.INTERVAL, {s: _random_below(bound_map[s], rng) for s in program.symbols}
-        )
-        denom = sup_norm(j1, j2)
-        if denom == 0.0:
-            continue
-        ratio = sup_norm(tp(program, j1), tp(program, j2)) / denom
-        worst = max(worst, ratio)
+    for chunk in range(0, samples, _SAMPLE_COLUMNS):
+        pairs = [
+            _values(program, Interpretation(LatticeKind.INTERVAL, {s: _random_below(bound_map[s], rng) for s in program.symbols}))
+            for _ in range(2 * min(_SAMPLE_COLUMNS, samples - chunk))
+        ]
+        starts = np.concatenate(pairs, axis=2)
+        steps = _kleene(program, _ONE_STEP, starts, None)[0]  # tp of every sample at once
+        denom = _gaps(starts[:, :, 0::2], starts[:, :, 1::2])
+        ratios = _gaps(steps[:, :, 0::2], steps[:, :, 1::2])[denom != 0.0] / denom[denom != 0.0]
+        worst = max(worst, ratios.max(initial=0.0).item())
     return worst

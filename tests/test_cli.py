@@ -73,16 +73,18 @@ class TestCheckModel:
         assert "within_tolerance" not in json.loads(out.read_text())
 
     def test_evaluates_each_rule_once(self, monkeypatch, interp_ex1):
+        # every rule body is evaluated in one pass over the compiled program
         calls = []
-        evaluate = semantics.evaluate
+        run_nodes = semantics._run_nodes
 
         def counting(*args):
             calls.append(args)
-            return evaluate(*args)
+            return run_nodes(*args)
 
-        monkeypatch.setattr(semantics, "evaluate", counting)
+        monkeypatch.setattr(semantics, "_run_nodes", counting)
         assert main(["check-model", EX1, "--interp", interp_ex1]) == 0
-        assert len(calls) == len(load_program(Path(EX1).read_text()).rules)
+        [(bodies, _)] = calls
+        assert len(bodies.results) == len(load_program(Path(EX1).read_text()).rules)
 
 
 class TestTp:
@@ -171,6 +173,32 @@ class TestStable:
         assert doc["nonconverged_starts"] == 10
         assert doc["rejected_limits"] == 0
 
+    def test_search_reports_each_start(self, tmp_path, capsys):
+        # each start's outcome and rounds, in start order; the totals are
+        # counts of them, and the one-line report ends in a newline
+        report = tmp_path / "r.json"
+        for argv, outcomes in [
+            ([EX3], None),
+            ([EX3, "--tol", "0.5"], {"rejected"}),
+            ([EX1, "--max", "1"], {"lfp_budget"}),
+        ]:
+            main(["stable", *argv, "--search", "--json", str(report)])
+            capsys.readouterr()
+            text = report.read_text()
+            assert text.count("\n") == 1 and text.endswith("\n")
+            doc = json.loads(text)
+            starts = [(start["outcome"], start["rounds"]) for start in doc["starts"]]
+            assert len(starts) == 10 and all(rounds >= 1 for _, rounds in starts)
+            assert {o for o, _ in starts} <= set(engine.START_OUTCOMES)
+            if outcomes is not None:
+                assert {o for o, _ in starts} == outcomes
+            assert doc["nonconverged_starts"] == sum(o in ("cycle", "rounds", "lfp_budget") for o, _ in starts)
+            assert doc["rejected_limits"] == sum(o == "rejected" for o, _ in starts)
+            assert len(doc["models"]) == sum(o == "converged" for o, _ in starts)
+        # the bottom start of the two-model program cycles
+        main(["stable", EX3, "--search", "--json", str(report)])
+        assert json.loads(report.read_text())["starts"][0]["outcome"] == "cycle"
+
     def test_brute_clusters(self, capsys):
         assert main(["stable", EX3, "--brute", "10"]) == 0
         out = capsys.readouterr().out
@@ -208,14 +236,15 @@ class TestCert:
         assert doc["model"]["p"] == [0.7, 0.9]
 
     def test_solve_certifies_once(self, capsys, monkeypatch):
-        check = uniqueness.eligibility_violations
+        # one walk of the bodies checks eligibility and decomposes them
+        check = uniqueness._decompose
         calls = []
 
         def counting(program):
             calls.append(program)
             return check(program)
 
-        monkeypatch.setattr(uniqueness, "eligibility_violations", counting)
+        monkeypatch.setattr(uniqueness, "_decompose", counting)
         assert main(["cert", CERT, "--solve"]) == 0
         assert len(calls) == 1
 

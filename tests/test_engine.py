@@ -27,6 +27,7 @@ from manlp import (
     sup_value,
     tp,
 )
+from manlp.engine import SEARCH_DEDUP_TOL, START_OUTCOMES, _canonical_key, default_starts
 from conftest import unit_interp
 from genprog import random_interpretation, random_program, raised_interpretation
 
@@ -280,6 +281,40 @@ class TestStableSearch:
         a = stable_search(unit_two_stable, seed=5)
         b = stable_search(unit_two_stable, seed=5)
         assert a.models() == b.models()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [FixpointConfig(max_iterations=200), FixpointConfig(tolerance=0.05, max_iterations=200), FixpointConfig(max_iterations=2)],
+    )
+    def test_lockstep_equals_one_start_at_a_time(self, cfg):
+        # the starts run as columns of one iteration; each must end as it
+        # does alone, and the models are those of the starts in turn, less
+        # the limits that repeat an earlier start's model
+        rng = random.Random(19)
+        outcomes = set()
+        for k in range(40):
+            prog = random_program(rng)
+            starts = default_starts(prog, seed=k)
+            together = stable_search(prog, cfg, starts=starts, max_rounds=25)
+            alone = [stable_search(prog, cfg, starts=[start], max_rounds=25) for start in starts]
+            want_starts, want_found = [], []
+            for result in alone:
+                (outcome, rounds), = result.starts
+                if result.found:
+                    model = result.found[0][0]
+                    if any(sup_norm(model, seen) <= SEARCH_DEDUP_TOL for seen, _ in want_found):
+                        outcome = "duplicate"
+                    else:
+                        want_found.append(result.found[0])
+                want_starts.append((outcome, rounds))
+            want_found.sort(key=lambda pair: _canonical_key(pair[0]))
+            assert together.starts == tuple(want_starts)
+            assert repr(together.found) == repr(tuple(want_found))
+            assert together.nonconverged_starts == sum(r.nonconverged_starts for r in alone)
+            assert together.rejected_limits == sum(r.rejected_limits for r in alone)
+            outcomes.update(outcome for outcome, _ in together.starts)
+        assert outcomes <= set(START_OUTCOMES)
+        assert len(outcomes) >= 3
 
 
 class TestPartition:
