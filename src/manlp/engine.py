@@ -105,7 +105,7 @@ class FixpointStats(NamedTuple):
     residual: float  # sup-norm size of the last step
     steps: int  # applications of the consequence operator
     effective_steps: int  # steps of nonzero size (``FixpointTrace.effective_steps``)
-    rule_evaluations: int  # rules whose input moved, summed over the steps (every rule on the first)
+    rule_evaluations: int  # rules with an input that moved (in any column), summed over the steps; all on the first
 
 
 def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,14 +157,14 @@ def _distinct(indices: np.ndarray) -> np.ndarray:
     return indices[keep]
 
 
-def _sups(schedule: Schedule, contributions: np.ndarray, heads: int, plan: tuple) -> np.ndarray:
-    """For each of ``heads`` heads, the supremum of its rules'
+def _sups(schedule: Schedule, contributions: np.ndarray, size: int, plan: tuple) -> np.ndarray:
+    """For each of ``size`` heads, the supremum of its rules'
     contributions, bottom if it heads none: a fold over its rules in program
     order (``plan`` is their ``Schedule.fold``), which keeps the first of
     equal maxima as ``max`` does."""
     ruled, first, folds = plan
     sup = kernel(schedule.kind, "max")
-    out = np.zeros((heads,) + contributions.shape[1:])
+    out = np.zeros((size,) + contributions.shape[1:])
     out[ruled] = contributions[first]
     for more, rules in folds:
         out[more] = sup([out[more], contributions[rules]])

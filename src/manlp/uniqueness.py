@@ -272,11 +272,11 @@ def empirical_contraction_check(
     bound_map = {hb.symbol: hb.bound for hb in report.head_bounds}
     worst = 0.0
     for chunk in range(0, samples, _SAMPLE_COLUMNS):
-        pairs = [
+        columns = [  # j1 and j2 of each pair, drawn in turn
             _values(program, Interpretation(LatticeKind.INTERVAL, {s: _random_below(bound_map[s], rng) for s in program.symbols}))
             for _ in range(2 * min(_SAMPLE_COLUMNS, samples - chunk))
         ]
-        starts = np.concatenate(pairs, axis=2)
+        starts = np.concatenate(columns, axis=2)
         steps = _kleene(program, _ONE_STEP, starts, None)[0]  # tp of every sample at once
         denom = _gaps(starts[:, :, 0::2], starts[:, :, 1::2])
         ratios = _gaps(steps[:, :, 0::2], steps[:, :, 1::2])[denom != 0.0] / denom[denom != 0.0]
